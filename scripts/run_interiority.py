@@ -9,7 +9,6 @@ CSV row per trial and a JSON summary per (fixture, eps) cell.
 Usage: python scripts/run_interiority.py [--trials N] [--seed S] [--outdir DIR]
 """
 import argparse
-import csv
 import json
 import os
 import sys
@@ -17,6 +16,7 @@ import sys
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from obliqueframes import dirac, interiority_experiment  # noqa: E402
+from obliqueframes.cli import write_interiority_csv  # noqa: E402
 from obliqueframes.gallery import (  # noqa: E402
     full_space,
     mercedes_benz_measure,
@@ -48,14 +48,7 @@ def main():
                                              trials=args.trials,
                                              rng_seed=args.seed)
             csv_path = os.path.join(args.outdir, f"{name}_eps{eps}.csv")
-            with open(csv_path, "w", newline="") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(["trial", "lambda", "eps_claimed",
-                                 "eps_actual", "pass"])
-                for r in summary.records:
-                    writer.writerow([r.trial, f"{r.lam:.17g}",
-                                     f"{r.eps_claimed:.17g}",
-                                     f"{r.eps_actual:.17g}", int(r.passed)])
+            write_interiority_csv(csv_path, summary)
             summaries.append({
                 "fixture": name,
                 "eps": eps,

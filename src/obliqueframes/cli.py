@@ -244,6 +244,19 @@ def cmd_perturb(args):
     })
 
 
+def write_interiority_csv(path: str, summary: approx_mod.InteriorityReport):
+    """One CSV row per interiority trial, floats with 17 significant digits."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["trial", "lambda", "eps_claimed", "eps_actual",
+                         "pass"])
+        for r in summary.records:
+            writer.writerow([r.trial, f"{r.lam:.17g}",
+                             f"{r.eps_claimed:.17g}",
+                             f"{r.eps_actual:.17g}",
+                             int(r.passed)])
+
+
 def cmd_interiority(args):
     tol = _tol(args)
     mu = parse_fixture(args.measure, "measure", tol)
@@ -252,15 +265,7 @@ def cmd_interiority(args):
     summary = approx_mod.interiority_experiment(mu, W, V, args.eps,
                                                 args.trials, args.seed, tol)
     if args.csv:
-        with open(args.csv, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["trial", "lambda", "eps_claimed", "eps_actual",
-                             "pass"])
-            for r in summary.records:
-                writer.writerow([r.trial, f"{r.lam:.17g}",
-                                 f"{r.eps_claimed:.17g}",
-                                 f"{r.eps_actual:.17g}",
-                                 int(r.passed)])
+        write_interiority_csv(args.csv, summary)
     _emit(args, {
         "eps": summary.eps,
         "trials": summary.trials,

@@ -20,8 +20,8 @@ from .linalg import (
     Tolerance,
     _as_float_array,
     _freeze,
+    dual_operator,
     oblique_projection,
-    pseudoinverse,
     spectral_norm,
 )
 
@@ -123,19 +123,59 @@ def is_oblique_dual(Fw: FiniteFrame, Fv: FiniteFrame,
     return resid <= tol.eq_tol, resid
 
 
-def canonical_oblique_dual(F: FiniteFrame, V: Subspace,
-                           tol: Tolerance = DEFAULT_TOL) -> ObliqueDualPair:
-    """The minimal-energy oblique dual: v_j is the oblique projection onto
-    V of the pseudoinverse frame operator applied to w_j."""
-    pi_vw = oblique_projection(V, F.subspace, tol)
-    s_pinv = pseudoinverse(frame_operator(F), tol)
-    analysis_vecs = (pi_vw @ s_pinv @ F.matrix).T
+def _dual_pair(F: FiniteFrame, analysis_vecs: np.ndarray, V: Subspace,
+               tol: Tolerance) -> ObliqueDualPair:
     analysis = FiniteFrame.create(analysis_vecs, V, tol)
     return ObliqueDualPair(
         analysis=analysis,
         synthesis=F,
         residual=dual_residual(F, analysis, tol),
     )
+
+
+def canonical_oblique_dual(F: FiniteFrame, V: Subspace,
+                           tol: Tolerance = DEFAULT_TOL) -> ObliqueDualPair:
+    """The minimal-energy oblique dual: v_j is the oblique projection onto
+    V of the pseudoinverse frame operator applied to w_j."""
+    T, _ = dual_operator(frame_operator(F), V, F.subspace, tol)
+    return _dual_pair(F, (T @ F.matrix).T, V, tol)
+
+
+@dataclass(frozen=True)
+class _FamilyGeometry:
+    """Precomputed pieces of the dual-family parameterization on V.
+
+    The dual generated by a free family h_i in V (columns of Ht) has
+    analysis columns canonical + Ht Q with Q = I - (<S^+ w_i, w_j>).
+    Coefficients C (dim V x N) act through Ht = B_V C; the mixed Gram is
+    then the affine map G(C) = G0 + P C Q.
+    """
+
+    frame: FiniteFrame
+    sampling: Subspace
+    canonical: np.ndarray  # (n, N) canonical dual columns
+    G0: np.ndarray         # (N, N)
+    P: np.ndarray          # (N, dim V)
+    Q: np.ndarray          # (N, N)
+
+    @classmethod
+    def build(cls, F: FiniteFrame, V: Subspace, tol: Tolerance) -> "_FamilyGeometry":
+        T, s_pinv = dual_operator(frame_operator(F), V, F.subspace, tol)
+        canonical = T @ F.matrix
+        gram = F.matrix.T @ s_pinv @ F.matrix
+        return cls(
+            frame=F,
+            sampling=V,
+            canonical=canonical,
+            G0=F.matrix.T @ canonical,
+            P=F.matrix.T @ V.basis,
+            Q=np.eye(len(F)) - gram,
+        )
+
+    def pair(self, Ht: np.ndarray, tol: Tolerance) -> ObliqueDualPair:
+        """The dual generated by the family with columns Ht."""
+        return _dual_pair(self.frame, (self.canonical + Ht @ self.Q).T,
+                          self.sampling, tol)
 
 
 def oblique_dual_family(F: FiniteFrame, V: Subspace, H,
@@ -155,19 +195,7 @@ def oblique_dual_family(F: FiniteFrame, V: Subspace, H,
     for i, h in enumerate(Hm):
         if not V.contains(h, tol.eq_tol):
             raise RangeViolation(f"parameter vector {i} lies outside V")
-
-    pi_vw = oblique_projection(V, F.subspace, tol)
-    s_pinv = pseudoinverse(frame_operator(F), tol)
-    canonical = pi_vw @ s_pinv @ F.matrix          # (n, N)
-    gram = F.matrix.T @ s_pinv @ F.matrix          # <S^+ w_i, w_j>
-    correction = Hm.T @ gram.T                     # column i: sum_j G_ij h_j
-    analysis_vecs = (canonical + Hm.T - correction).T
-    analysis = FiniteFrame.create(analysis_vecs, V, tol)
-    return ObliqueDualPair(
-        analysis=analysis,
-        synthesis=F,
-        residual=dual_residual(F, analysis, tol),
-    )
+    return _FamilyGeometry.build(F, V, tol).pair(Hm.T, tol)
 
 
 def reconstruct(f, pair: ObliqueDualPair) -> tuple[np.ndarray, float]:

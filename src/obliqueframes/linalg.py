@@ -1,7 +1,8 @@
 """Dense real linear algebra primitives.
 
 Orthonormalization, Moore-Penrose pseudoinverses, principal subspace
-angles, and orthogonal/oblique projections, all on plain numpy arrays.
+angles, orthogonal/oblique projections and the dual operator composing
+them, all on plain numpy arrays.
 Everything here is a pure function of immutable inputs; arrays stored on
 dataclasses are marked read-only.
 """
@@ -159,6 +160,18 @@ def oblique_projection(W: Subspace, V: Subspace,
         )
     G = V.basis.T @ W.basis
     return W.basis @ np.linalg.solve(G, V.basis.T)
+
+
+def dual_operator(S, W: Subspace, V: Subspace,
+                  tol: Tolerance) -> tuple[np.ndarray, np.ndarray]:
+    """The canonical dual operator oblique_projection(W, V) @ S^+ and S^+.
+
+    S is a frame operator (or measure moment matrix) whose range is V; the
+    operator maps each frame vector or atom to its canonical dual on W.
+    """
+    pi = oblique_projection(W, V, tol)
+    s_pinv = pseudoinverse(S, tol)
+    return pi @ s_pinv, s_pinv
 
 
 def orthogonal_complement(W: Subspace) -> Subspace:

@@ -114,9 +114,11 @@ def _signed_aggregate(points: np.ndarray, weights: np.ndarray,
     return np.array(merged_pts), np.array(merged_w)
 
 
-def aggregate(mu: DiscreteMeasure, pos_tol: float = POSITION_TOL) -> DiscreteMeasure:
-    """Canonical form: atoms sorted, near-duplicates merged, dead atoms dropped."""
-    pts, w = _signed_aggregate(np.asarray(mu.points), np.asarray(mu.weights), pos_tol)
+def aggregate(points: np.ndarray, weights: np.ndarray) -> DiscreteMeasure:
+    """Canonical form of weighted atoms: sorted, near-duplicates merged,
+    dead atoms dropped, weights renormalized."""
+    pts, w = _signed_aggregate(np.asarray(points), np.asarray(weights),
+                               POSITION_TOL)
     keep = w > 0
     return DiscreteMeasure(pts[keep], w[keep] / np.sum(w[keep]))
 

@@ -14,14 +14,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import HypothesisViolated, InternalConsistencyError, NonConvergence, NotADual
-from .frames import FiniteFrame, ObliqueDualPair, dual_residual, frame_operator
+from .frames import FiniteFrame, ObliqueDualPair, _FamilyGeometry, frame_operator
 from .linalg import (
     DEFAULT_TOL,
     Subspace,
     Tolerance,
-    oblique_projection,
     orthogonal_projection,
-    pseudoinverse,
     psd_pinv_sqrt,
     spectral_norm,
 )
@@ -229,54 +227,10 @@ class OptimizerOptions:
     shrink: float = 0.5
 
 
-@dataclass(frozen=True)
-class _FamilyGeometry:
-    """Precomputed pieces of the dual-family parameterization on V.
-
-    Coefficients C (dim V x N) act through H = B_V C; the mixed Gram is
-    the affine map G(C) = G0 + P C Q.
-    """
-
-    frame: FiniteFrame
-    sampling: Subspace
-    canonical: np.ndarray  # (n, N) canonical dual columns
-    G0: np.ndarray         # (N, N)
-    P: np.ndarray          # (N, dim V)
-    Q: np.ndarray          # (N, N)
-
-    @classmethod
-    def build(cls, F: FiniteFrame, V: Subspace, tol: Tolerance) -> "_FamilyGeometry":
-        pi_vw = oblique_projection(V, F.subspace, tol)
-        s_pinv = pseudoinverse(frame_operator(F), tol)
-        canonical = pi_vw @ s_pinv @ F.matrix
-        gram = F.matrix.T @ s_pinv @ F.matrix
-        return cls(
-            frame=F,
-            sampling=V,
-            canonical=canonical,
-            G0=F.matrix.T @ canonical,
-            P=F.matrix.T @ V.basis,
-            Q=np.eye(len(F)) - gram,
-        )
-
-    def analysis_matrix(self, C: np.ndarray) -> np.ndarray:
-        return self.canonical + self.sampling.basis @ C @ self.Q
-
-    def pair(self, C: np.ndarray, tol: Tolerance) -> ObliqueDualPair:
-        analysis = FiniteFrame.create(self.analysis_matrix(C).T, self.sampling, tol)
-        return ObliqueDualPair(
-            analysis=analysis,
-            synthesis=self.frame,
-            residual=dual_residual(self.frame, analysis, tol),
-        )
-
-
 def potential_objective(F: FiniteFrame, V: Subspace, C, p: float = 2.0,
                         tol: Tolerance = DEFAULT_TOL) -> float:
     """Dual p-potential of the family with coefficient matrix C on V."""
-    geom = _FamilyGeometry.build(F, V, tol)
-    G = geom.G0 + geom.P @ np.asarray(C, float) @ geom.Q
-    return float(np.sum(np.abs(G) ** p))
+    return _value(_FamilyGeometry.build(F, V, tol), np.asarray(C, float), p)
 
 
 def potential_gradient(F: FiniteFrame, V: Subspace, C, p: float = 2.0,
@@ -327,7 +281,7 @@ def minimize_dual_potential(
     for _ in range(opts.max_iters):
         gnorm = float(np.linalg.norm(grad))
         if gnorm <= opts.grad_tol:
-            return geom.pair(C, tol), trajectory
+            return geom.pair(V.basis @ C, tol), trajectory
         t = step
         if prev_c is not None:
             s = C - prev_c

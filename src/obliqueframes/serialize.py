@@ -15,8 +15,8 @@ import numpy as np
 from .errors import ParseError
 from .frames import FiniteFrame, ObliqueDualPair
 from .linalg import Subspace, DEFAULT_TOL, Tolerance
-from .measures import DiscreteMeasure
-from .transport import Coupling, TriCoupling, _marginal
+from .measures import DiscreteMeasure, aggregate
+from .transport import Coupling, TriCoupling
 
 
 def _format_float(x: float) -> str:
@@ -207,7 +207,7 @@ def coupling_from_obj(obj) -> Coupling:
     y = np.array(ys)
     w = np.array(ws)
     try:
-        return Coupling(x, y, w, _marginal(x, w), _marginal(y, w))
+        return Coupling(x, y, w, aggregate(x, w), aggregate(y, w))
     except ValueError as exc:
         raise ParseError(f"invalid coupling: {exc}") from exc
 

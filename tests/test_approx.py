@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from obliqueframes import approx as approx_mod
 from obliqueframes import (
     Coupling,
     DiscreteMeasure,
@@ -258,6 +259,34 @@ class TestInteriorityExperiment:
         assert summary.max_epsilon_actual <= 0.5 + 1e-9
         # The sampler pushes against the admissible boundary.
         assert max(r.lam for r in summary.records) >= 0.8 * (0.5 ** 2) * 1.0
+
+
+    def test_trials_match_the_public_certificate(self, monkeypatch):
+        # The experiment certifies the exact dual once and each trial runs
+        # only the perturbation checks; the results must be the ones the
+        # full public certificate gives on the same perturbation.
+        sampled = []
+        sample = approx_mod._sample_in_w2_ball
+
+        def recording(*args):
+            sampled.append(sample(*args))
+            return sampled[-1]
+
+        rng = np.random.default_rng(5)
+        W, V = random_admissible_pair(rng, 3, 2)
+        mu = random_measure_on(rng, W, 4)
+        monkeypatch.setattr(approx_mod, "_sample_in_w2_ball", recording)
+        summary = interiority_experiment(mu, W, V, eps=0.2, trials=4,
+                                         rng_seed=3)
+        nu, gamma = canonical_dual_measure(mu, W, V)
+        c_upper = classify_probabilistic_frame(mu, W).bounds[1]
+        a = min(classify_probabilistic_frame(nu, V).bounds[0], 1.0 / c_upper)
+        assert len(sampled) == len(summary.records) == 4
+        for record, (eta, pert) in zip(summary.records, sampled):
+            cert = perturbation_certificate(mu, nu, gamma, eta, pert, 0.2,
+                                            a_lower=a)
+            assert cert.lam == record.lam
+            assert cert.epsilon_actual == record.eps_actual
 
 
 class TestCrossModuleConsistency:

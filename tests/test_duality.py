@@ -9,6 +9,7 @@ from obliqueframes import (
     NotADual,
     canonical_dual_map,
     canonical_dual_measure,
+    canonical_oblique_dual,
     classify_probabilistic_frame,
     dirac,
     graph_coupling,
@@ -24,7 +25,9 @@ from obliqueframes import (
     pseudoinverse,
     pushforward,
     pushforward_dual_map,
+    support_span,
     transfer_dual_to_K,
+    uniform_atoms,
     weak_equal,
 )
 from obliqueframes.gallery import (
@@ -32,6 +35,7 @@ from obliqueframes.gallery import (
     line,
     mercedes_benz_measure,
     random_admissible_pair,
+    random_frame,
     random_measure_on,
     skew_line_measures,
     skew_line_subspaces,
@@ -82,6 +86,24 @@ class TestCanonicalDualMeasure:
         assert np.allclose(gamma.y, nu.points)
 
 
+class TestFrameIsAUnitWeightMeasure:
+    @given(st.integers(0, 10_000))
+    def test_canonical_duals_agree(self, seed):
+        # The uniform measure on the frame vectors has moment matrix S / N,
+        # so its canonical dual map sends w_j to N times the frame's
+        # canonical dual vector.
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 9))
+        d = int(rng.integers(1, n + 1))
+        N = int(rng.integers(d, min(3 * d, 20) + 1))
+        W, V = random_admissible_pair(rng, n, d)
+        F = random_frame(rng, W, N)
+        mu = uniform_atoms(F.vectors)
+        frame_dual = canonical_oblique_dual(F, V).analysis.vectors
+        measure_dual = (canonical_dual_map(mu, W, V) @ F.matrix).T / len(F)
+        assert np.max(np.abs(frame_dual - measure_dual)) <= 1e-12
+
+
 class TestIsObliqueDualMeasure:
     def test_product_coupling_certificate(self):
         mu, nu, gamma = skew_line_measures()
@@ -112,6 +134,38 @@ class TestIsObliqueDualMeasure:
         nu, gamma = canonical_dual_measure(mu, W, V)
         ok, resid = is_oblique_dual_measure(mu, nu, gamma)
         assert ok and resid <= 1e-9
+
+    @given(st.integers(0, 5_000))
+    def test_reconstruction_probes_agree_with_the_residual(self, seed):
+        # The pointwise synthesis, adjoint and bilinear forms of a coupling
+        # restate its moment matrix, so each differs from the same form of
+        # the oblique projection by at most the spectral residual.
+        rng, W, V, mu = random_dual_instance(seed)
+        nu, canonical = canonical_dual_measure(mu, W, V)
+        skew_mu, skew_nu, skew_product = skew_line_measures()
+        for mu_, nu_, gamma in [(mu, nu, canonical),
+                                (mu, nu, product_coupling(mu, nu)),
+                                (skew_mu, skew_nu, skew_product)]:
+            _, residual = is_oblique_dual_measure(mu_, nu_, gamma)
+            Ws, Vs = support_span(mu_), support_span(nu_)
+            pi_wv = oblique_projection(Ws, Vs)
+            for _ in range(4):
+                f = rng.standard_normal(mu_.ambient_dim)
+                g = rng.standard_normal(mu_.ambient_dim)
+                budget = (residual * np.linalg.norm(f)
+                          * max(np.linalg.norm(g), 1.0) + 1e-8)
+                fw = Ws.project(f)
+                w, x, y = gamma.weights, gamma.x, gamma.y
+                synth = np.einsum("k,ki,k->i", w, x, y @ fw)
+                assert np.linalg.norm(synth - fw) <= budget
+                synth = np.einsum("k,ki,k->i", w, x, y @ f)
+                assert np.linalg.norm(synth - pi_wv @ f) <= budget
+                sampled = np.einsum("k,k,ki->i", w, x @ f, y)
+                assert np.linalg.norm(sampled - pi_wv.T @ f) <= budget
+                bilinear = float(np.sum(w * (x @ g) * (y @ f)))
+                assert abs(bilinear - float(g @ pi_wv @ f)) <= budget
+                bilinear = float(np.sum(w * (x @ f) * (y @ g)))
+                assert abs(bilinear - float(g @ pi_wv.T @ f)) <= budget
 
 
 class TestLemmaBridgeAndBounds:

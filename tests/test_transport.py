@@ -206,7 +206,11 @@ class TestGlue:
         eta = uniform_atoms(rng.standard_normal((4, 2)))
         g1 = product_coupling(mu, nu)
         g2 = product_coupling(nu, eta)
-        tri = glue(g1, g2)  # constructor validates both pushforwards
+        tri = glue(g1, g2)
+        for pair, (a, b) in [(g1, (tri.x, tri.y)), (g2, (tri.y, tri.z))]:
+            glued = DiscreteMeasure(np.hstack([a, b]), tri.weights)
+            declared = DiscreteMeasure(np.hstack([pair.x, pair.y]), pair.weights)
+            assert weak_equal(glued, declared)
         xz = tri.xz_coupling()
         assert weak_equal(xz.marginal_x, mu)
         assert weak_equal(xz.marginal_y, eta)
