@@ -45,9 +45,9 @@ from .measures import (
 )
 from .transport import (
     Coupling,
+    _flow_coupling,
     _solve_w2,
     coupling_cost,
-    exact_w2,
     glue,
     identity_coupling,
 )
@@ -117,7 +117,6 @@ class _ExactDual:
     """An exact dual certificate checked once, with the bounds and the
     oblique projection that every perturbation of it is measured against."""
 
-    nu: DiscreteMeasure
     gamma_dual: Coupling
     c_upper: float      # upper frame bound of mu on its span
     a_opt: float        # lower frame bound of nu on its span
@@ -132,7 +131,6 @@ class _ExactDual:
         W = support_span(mu, tol)
         V = support_span(nu, tol)
         return cls(
-            nu=nu,
             gamma_dual=gamma_dual,
             c_upper=classify_probabilistic_frame(mu, W, tol).bounds[1],
             a_opt=classify_probabilistic_frame(nu, V, tol).bounds[0],
@@ -141,7 +139,7 @@ class _ExactDual:
 
     def perturbation(self, eta: DiscreteMeasure, gamma_pert: Coupling,
                      eps: float, a: float) -> PerturbationCertificate:
-        """Certify eta, coupled to nu by gamma_pert, with lower bound a."""
+        """Certify eta at bound a; the caller checked gamma_pert's marginals."""
         if a > self.a_opt + 1e-9:
             raise HypothesisViolated(
                 f"claimed lower bound {a:.6g} exceeds the spectrum minimum "
@@ -150,7 +148,6 @@ class _ExactDual:
         if a * self.c_upper > 1.0 + 1e-9:
             raise HypothesisViolated(
                 f"bound product A*C = {a * self.c_upper:.6g} exceeds 1")
-        _validate_coupling(gamma_pert, self.nu, eta)
         lam = coupling_cost(gamma_pert)
         if lam > a * eps * eps + 1e-12:
             raise HypothesisViolated(
@@ -186,6 +183,7 @@ def perturbation_certificate(mu: DiscreteMeasure, nu: DiscreteMeasure,
     duality always makes admissible.
     """
     dual = _ExactDual.certify(mu, nu, gamma_dual, tol)
+    _validate_coupling(gamma_pert, nu, eta)
     a = min(dual.a_opt, 1.0 / dual.c_upper) if a_lower is None \
         else float(a_lower)
     return dual.perturbation(eta, gamma_pert, eps, a)
@@ -232,34 +230,33 @@ def _sample_in_w2_ball(nu: DiscreteMeasure, V: Subspace, radius: float,
     while float(np.max(np.abs(directions))) == 0.0:
         directions = rng.standard_normal(nu.points.shape) @ proj
 
-    def distance(s: float) -> float:
-        return _solve_w2(nu, _jittered(nu, directions, s))[0]
+    def distance(s: float) -> tuple[float, np.ndarray]:
+        return _solve_w2(nu, _jittered(nu, directions, s))[:2]
 
     # The graph coupling costs s^2 * sum w ||d||^2, so this start is feasible.
     norm2 = float(np.sum(nu.weights * np.einsum("ki,ki->k", directions, directions)))
-    lo = 0.0
+    lo, f_lo = 0.0, np.diag(nu.weights)   # scale 0 leaves nu in place
     hi = radius / np.sqrt(norm2)
-    d_hi = distance(hi)
+    d_hi, f_hi = distance(hi)
     for _ in range(60):
         if d_hi >= 0.9 * radius:
             break
-        lo, hi = hi, 2.0 * hi
-        d_hi = distance(hi)
+        lo, f_lo, hi = hi, f_hi, 2.0 * hi
+        d_hi, f_hi = distance(hi)
     for _ in range(80):
         if 0.9 * radius <= d_hi <= radius:
             break
         mid = 0.5 * (lo + hi)
-        d_mid = distance(mid)
+        d_mid, f_mid = distance(mid)
         if d_mid > radius:
-            hi, d_hi = mid, d_mid
+            hi, d_hi, f_hi = mid, d_mid, f_mid
         else:
-            lo = mid
+            lo, f_lo = mid, f_mid
             if d_mid >= 0.9 * radius:
-                hi, d_hi = mid, d_mid
-    scale = hi if d_hi <= radius else lo
+                hi, d_hi, f_hi = mid, d_mid, f_mid
+    scale, flows = (hi, f_hi) if d_hi <= radius else (lo, f_lo)
     eta = _jittered(nu, directions, scale)
-    _, gamma, _ = exact_w2(nu, eta)
-    return eta, gamma
+    return eta, _flow_coupling(nu, eta, flows)
 
 
 def interiority_experiment(mu: DiscreteMeasure, W: Subspace, V: Subspace,

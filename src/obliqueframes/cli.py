@@ -2,8 +2,7 @@
 
 Every verb reads JSON fixtures, runs one library operation, and emits a
 JSON report to stdout or --out (written atomically).  Validation errors
-exit 2, violated certificate hypotheses exit 3, optimizer non-convergence
-exits 4.
+exit 2, violated hypotheses 3, non-convergence 4, internal inconsistency 5.
 """
 from __future__ import annotations
 
@@ -13,7 +12,8 @@ import sys
 
 from . import approx as approx_mod
 from . import duality, frames, measures, potentials, transport
-from .errors import FrameError, HypothesisViolated, NonConvergence
+from .errors import (FrameError, HypothesisViolated, InternalConsistencyError,
+                     NonConvergence)
 from .linalg import Tolerance
 from .serialize import (
     coupling_to_obj,
@@ -29,6 +29,7 @@ from .serialize import (
 EXIT_VALIDATION = 2
 EXIT_HYPOTHESIS = 3
 EXIT_NONCONVERGENCE = 4
+EXIT_INTERNAL = 5
 
 
 def _tol(args) -> Tolerance:
@@ -405,6 +406,9 @@ def main(argv=None) -> int:
     except (FrameError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
+    except InternalConsistencyError as exc:
+        print(f"internal consistency check failed: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
     return 0
 
 

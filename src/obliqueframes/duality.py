@@ -37,12 +37,13 @@ from .linalg import (
 from .measures import (
     DiscreteMeasure,
     classify_probabilistic_frame,
+    is_marginal,
     measure_frame_operator,
     pushforward,
     weak_equal,
 )
 from .potentials import SATURATION_TOL, PotentialReport
-from .transport import Coupling, _is_marginal, graph_coupling
+from .transport import Coupling, graph_coupling
 
 
 def support_span(mu: DiscreteMeasure, tol: Tolerance = DEFAULT_TOL) -> Subspace:
@@ -60,9 +61,9 @@ def _require_frame(mu: DiscreteMeasure, W: Subspace, tol: Tolerance,
 
 def _validate_coupling(gamma: Coupling, mu: DiscreteMeasure,
                        nu: DiscreteMeasure):
-    if not _is_marginal(gamma.x, gamma.weights, mu):
+    if not is_marginal(gamma.x, gamma.weights, mu):
         raise MarginalMismatch("coupling's first marginal is not the given measure")
-    if not _is_marginal(gamma.y, gamma.weights, nu):
+    if not is_marginal(gamma.y, gamma.weights, nu):
         raise MarginalMismatch("coupling's second marginal is not the given measure")
 
 

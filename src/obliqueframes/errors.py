@@ -2,9 +2,9 @@
 
 Every validation failure raises a subclass of :class:`FrameError`, which
 the CLI maps onto exit codes (2 for validation errors, 3 for hypothesis
-violations, 4 for non-convergence).  :class:`InternalConsistencyError` is
-deliberately *not* a FrameError: it signals that two independent code
-paths computed the same quantity and disagreed, i.e. a bug.
+violations, 4 for non-convergence).  :class:`InternalConsistencyError`, exit
+code 5, is deliberately *not* a FrameError: it signals that two independent
+code paths computed the same quantity and disagreed, i.e. a bug.
 """
 
 

@@ -4,6 +4,8 @@ A discrete measure is a weighted atom cloud; it is a probabilistic frame
 for a subspace W when its support spans W, in which case the second-moment
 matrix plays the role of the frame operator.  Almost-everywhere statements
 degenerate to "for every atom of positive weight".
+Aggregation, weak equality and marginal checks share one test of atom
+identity, match_atoms: single linkage within POSITION_TOL in max norm.
 """
 from __future__ import annotations
 
@@ -24,6 +26,7 @@ from .linalg import (
 
 WEIGHT_SUM_TOL = 1e-12
 POSITION_TOL = 1e-9
+MARGINAL_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -96,44 +99,71 @@ def linear_pushforward(mu: DiscreteMeasure, A) -> DiscreteMeasure:
     return DiscreteMeasure(mu.points @ A.T, mu.weights)
 
 
-def _signed_aggregate(points: np.ndarray, weights: np.ndarray,
-                      pos_tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """Merge atoms closer than pos_tol (lexicographic sweep), summing weights."""
-    if points.shape[0] == 0:
-        return points, weights
+def match_atoms(points: np.ndarray, weights: np.ndarray
+                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Group the rows that are one atom; the only test of atom identity.
+
+    Rows match when their max-norm distance is at most POSITION_TOL.  Groups
+    are the connected components of matching (single linkage), so a chain
+    of matches joins ends farther apart than POSITION_TOL.  Returns each
+    row's group, each group's lexicographically first row (which also orders
+    the groups) and the weights summed per group in lexicographic row order.
+    """
     order = np.lexsort(points.T[::-1])
-    merged_pts: list[np.ndarray] = []
-    merged_w: list[float] = []
-    for idx in order:
-        p = points[idx]
-        if merged_pts and np.max(np.abs(p - merged_pts[-1])) <= pos_tol:
-            merged_w[-1] += weights[idx]
-        else:
-            merged_pts.append(np.array(p))
-            merged_w.append(float(weights[idx]))
-    return np.array(merged_pts), np.array(merged_w)
+    ordered = points[order]
+    # Exact duplicates (a product coupling repeats each atom) are now adjacent.
+    fresh = np.any(np.diff(ordered, axis=0, prepend=np.nan) != 0, axis=1)
+    distinct = ordered[fresh]
+    # Matching rows project onto u within ||u||_1 * POSITION_TOL + rounding.
+    u = np.sqrt(np.arange(2.0, points.shape[1] + 2.0))
+    proj = distinct @ u
+    by_proj = np.argsort(proj, kind="stable")
+    proj = proj[by_proj]
+    width = u.sum() * POSITION_TOL + 2.0 * (u.size + 2) * np.finfo(float).eps \
+        * np.max(np.abs(distinct) @ u, initial=0.0)
+    # Union-find: larger roots hook under smaller ones, so a root is its
+    # component's first row; rows `step` apart in projection order are
+    # compared and joined together, which keeps memory linear.
+    parent = np.arange(proj.size)
+    for step in range(1, proj.size):
+        near = np.flatnonzero(proj[step:] - proj[:-step] <= width)
+        if near.size == 0:
+            break
+        a, b = by_proj[near], by_proj[near + step]
+        close = np.max(np.abs(distinct[a] - distinct[b]), axis=1) <= POSITION_TOL
+        a, b = a[close], b[close]
+        while np.any(parent[a] != parent[b]):
+            np.minimum.at(parent, np.maximum(parent[a], parent[b]),
+                          np.minimum(parent[a], parent[b]))
+            while np.any(parent[parent] != parent):
+                parent = parent[parent]
+    firsts, group = np.unique(parent[np.cumsum(fresh) - 1], return_inverse=True)
+    sums = np.bincount(group, weights=weights[order], minlength=firsts.size)
+    return group[np.argsort(order)], distinct[firsts], sums
 
 
 def aggregate(points: np.ndarray, weights: np.ndarray) -> DiscreteMeasure:
-    """Canonical form of weighted atoms: sorted, near-duplicates merged,
+    """Canonical form of weighted atoms: sorted, matching atoms merged,
     dead atoms dropped, weights renormalized."""
-    pts, w = _signed_aggregate(np.asarray(points), np.asarray(weights),
-                               POSITION_TOL)
+    _, pts, w = match_atoms(points, weights)
     keep = w > 0
     return DiscreteMeasure(pts[keep], w[keep] / np.sum(w[keep]))
 
 
-def weak_equal(mu: DiscreteMeasure, nu: DiscreteMeasure,
-               pos_tol: float = POSITION_TOL,
-               weight_tol: float = POSITION_TOL) -> bool:
-    """Equality as measures: atom positions matched within pos_tol after
-    sorting, with weights aggregated."""
-    if mu.ambient_dim != nu.ambient_dim:
+def is_marginal(coords: np.ndarray, weights: np.ndarray,
+                mu: DiscreteMeasure) -> bool:
+    """Whether the weighted coordinates make up mu: every group of matching
+    atoms carries the same mass on both sides, within MARGINAL_TOL."""
+    if coords.shape[1] != mu.ambient_dim:
         return False
-    pts = np.vstack([mu.points, nu.points])
-    w = np.concatenate([mu.weights, -nu.weights])
-    _, merged = _signed_aggregate(pts, w, pos_tol)
-    return bool(np.all(np.abs(merged) <= weight_tol))
+    _, _, net = match_atoms(np.vstack([coords, mu.points]),
+                            np.concatenate([weights, -mu.weights]))
+    return bool(np.all(np.abs(net) <= MARGINAL_TOL))
+
+
+def weak_equal(mu: DiscreteMeasure, nu: DiscreteMeasure) -> bool:
+    """Equality as measures, with atoms matched by match_atoms."""
+    return is_marginal(mu.points, mu.weights, nu)
 
 
 @dataclass(frozen=True)

@@ -12,18 +12,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, MarginalMismatch
+from .errors import (DimensionMismatch, InternalConsistencyError,
+                     MarginalMismatch, NonConvergence)
 from .linalg import _as_float_array, _freeze
-from .measures import DiscreteMeasure, POSITION_TOL, aggregate, weak_equal
-
-MARGINAL_TOL = 1e-9
-
-
-def _is_marginal(coords: np.ndarray, weights: np.ndarray,
-                 mu: DiscreteMeasure) -> bool:
-    """Whether the weighted coordinates make up the measure mu."""
-    return weak_equal(aggregate(coords, weights),
-                      aggregate(mu.points, mu.weights))
+from .measures import MARGINAL_TOL, DiscreteMeasure, is_marginal, match_atoms
 
 
 @dataclass(frozen=True)
@@ -49,9 +41,9 @@ class Coupling:
         object.__setattr__(self, "x", _freeze(x))
         object.__setattr__(self, "y", _freeze(y))
         object.__setattr__(self, "weights", _freeze(w))
-        if not _is_marginal(x, w, self.marginal_x):
+        if not is_marginal(x, w, self.marginal_x):
             raise MarginalMismatch("first-coordinate marginal mismatch")
-        if not _is_marginal(y, w, self.marginal_y):
+        if not is_marginal(y, w, self.marginal_y):
             raise MarginalMismatch("second-coordinate marginal mismatch")
 
     @property
@@ -205,7 +197,7 @@ def solve_transport(cost: np.ndarray, supply: np.ndarray, demand: np.ndarray,
     while True:
         u, v = _tree_duals(cost, sorted(basis), m, k)
         if np.isnan(u).any() or np.isnan(v).any():
-            raise RuntimeError("basis tree lost connectivity")
+            raise InternalConsistencyError("basis tree lost connectivity")
         reduced = cost - u[:, None] - v[None, :]
         entering = None
         for i in range(m):
@@ -219,7 +211,7 @@ def solve_transport(cost: np.ndarray, supply: np.ndarray, demand: np.ndarray,
             break
         iterations += 1
         if iterations > max_pivots:
-            raise RuntimeError("transportation simplex exceeded pivot budget")
+            raise NonConvergence("transportation simplex exceeded pivot budget")
         cycle = _basis_cycle(basis, entering, m, k)
         minus = cycle[1::2]
         theta = min(flows[c] for c in minus)
@@ -261,9 +253,14 @@ def exact_w2(mu: DiscreteMeasure, nu: DiscreteMeasure
     count of the underlying transportation simplex.
     """
     dist, flows, cert = _solve_w2(mu, nu)
+    return dist, _flow_coupling(mu, nu, flows), cert
+
+
+def _flow_coupling(mu: DiscreteMeasure, nu: DiscreteMeasure,
+                   flows: np.ndarray) -> Coupling:
+    """Coupling carried by the positive flows between the atoms of mu and nu."""
     ii, jj = np.nonzero(flows > 0)
-    gamma = Coupling(mu.points[ii], nu.points[jj], flows[ii, jj], mu, nu)
-    return dist, gamma, cert
+    return Coupling(mu.points[ii], nu.points[jj], flows[ii, jj], mu, nu)
 
 
 # ---------------------------------------------------------------------------
@@ -298,54 +295,36 @@ class TriCoupling:
                         self.gamma_xy.marginal_x, self.gamma_yz.marginal_y)
 
 
-def glue(gamma_xy: Coupling, gamma_yz: Coupling,
-         pos_tol: float = POSITION_TOL) -> TriCoupling:
+def glue(gamma_xy: Coupling, gamma_yz: Coupling) -> TriCoupling:
     """Compose two couplings over their shared middle marginal.
 
     Conditional independence given the shared atom: each y of positive mass
     contributes triples weighted gamma_xy(x,y) * gamma_yz(y,z) / mass(y).
-    Middle atoms must match by position (same atom list on both sides).
+    Middle atoms are matched by match_atoms, and each matched group must
+    carry the same mass on both sides.  Triples come grouped by first
+    appearance in gamma_xy.y, then by pair index on each side.
     """
-    def key(p: np.ndarray) -> bytes:
-        return np.round(p / max(pos_tol, 1e-300)).astype(np.int64).tobytes()
-
-    left: dict[bytes, list[int]] = {}
-    left_mass: dict[bytes, float] = {}
-    for idx, p in enumerate(gamma_xy.y):
-        kk = key(p)
-        left.setdefault(kk, []).append(idx)
-        left_mass[kk] = left_mass.get(kk, 0.0) + float(gamma_xy.weights[idx])
-    right: dict[bytes, list[int]] = {}
-    right_mass: dict[bytes, float] = {}
-    for idx, p in enumerate(gamma_yz.x):
-        kk = key(p)
-        right.setdefault(kk, []).append(idx)
-        right_mass[kk] = right_mass.get(kk, 0.0) + float(gamma_yz.weights[idx])
-
-    for kk in set(left_mass) | set(right_mass):
-        lm = left_mass.get(kk, 0.0)
-        rm = right_mass.get(kk, 0.0)
-        if abs(lm - rm) > pos_tol:
-            raise MarginalMismatch(
-                f"shared marginal masses differ by {abs(lm - rm):.3e}"
-            )
-
-    xs, ys, zs, ws = [], [], [], []
-    for kk, lidx in left.items():
-        mass = left_mass[kk]
-        if mass <= 0:
-            continue
-        for a in lidx:
-            wa = float(gamma_xy.weights[a])
-            if wa <= 0:
-                continue
-            for b in right.get(kk, ()):
-                wb = float(gamma_yz.weights[b])
-                if wb <= 0:
-                    continue
-                xs.append(gamma_xy.x[a])
-                ys.append(gamma_xy.y[a])
-                zs.append(gamma_yz.y[b])
-                ws.append(wa * wb / mass)
-    return TriCoupling(np.array(xs), np.array(ys), np.array(zs),
-                       np.array(ws), gamma_xy, gamma_yz)
+    if gamma_xy.y.shape[1] != gamma_yz.x.shape[1]:
+        raise DimensionMismatch("the shared marginals live in different spaces")
+    wa, wb = gamma_xy.weights, gamma_yz.weights
+    labels, _, net = match_atoms(np.vstack([gamma_xy.y, gamma_yz.x]),
+                                 np.concatenate([wa, -wb]))
+    bad = np.flatnonzero(np.abs(net) > MARGINAL_TOL)
+    if bad.size:
+        raise MarginalMismatch(
+            f"shared marginal masses differ by {abs(net[bad[0]]):.3e}")
+    left, right = labels[:wa.size], labels[wa.size:]
+    mass = np.bincount(left, weights=wa, minlength=net.size)
+    appears = np.full(net.size, wa.size)
+    np.minimum.at(appears, left, np.arange(wa.size))
+    a = np.flatnonzero((wa > 0) & (mass[left] > 0))
+    a = a[np.argsort(appears[left[a]], kind="stable")]
+    b = np.flatnonzero(wb > 0)
+    b = b[np.argsort(right[b], kind="stable")]
+    # Pair each a with the run b[lo : lo + count] of the b's in its group.
+    lo = np.searchsorted(right[b], left[a])
+    count = np.searchsorted(right[b], left[a], side="right") - lo
+    aa = np.repeat(a, count)
+    bb = b[np.repeat(lo - np.cumsum(count) + count, count) + np.arange(aa.size)]
+    return TriCoupling(gamma_xy.x[aa], gamma_xy.y[aa], gamma_yz.y[bb],
+                       wa[aa] * wb[bb] / mass[left[aa]], gamma_xy, gamma_yz)

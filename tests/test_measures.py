@@ -18,6 +18,7 @@ from obliqueframes import (
     uniform_atoms,
     weak_equal,
 )
+from obliqueframes.measures import POSITION_TOL, match_atoms
 from obliqueframes.gallery import (
     full_space,
     line,
@@ -65,6 +66,93 @@ class TestWeakEquality:
         a = DiscreteMeasure([[0.0], [1.0]], [0.5, 0.5])
         b = DiscreteMeasure([[0.0], [1.0]], [0.6, 0.4])
         assert not weak_equal(a, b)
+
+    def test_matching_atoms_need_not_be_lexsort_neighbours(self):
+        # [0, 2] sorts between [0, 1] and [1e-12, 1], which are one atom.
+        a = DiscreteMeasure([[0.0, 1.0], [0.0, 2.0]], [0.5, 0.5])
+        b = DiscreteMeasure([[1e-12, 1.0], [0.0, 2.0]], [0.5, 0.5])
+        assert weak_equal(a, b)
+        assert weak_equal(b, a)
+
+
+def single_linkage_oracle(points):
+    """Brute-force components of the max-norm POSITION_TOL relation."""
+    m = len(points)
+    near = np.max(np.abs(points[:, None] - points[None]), axis=2) <= POSITION_TOL
+    component = list(range(m))
+    changed = True
+    while changed:
+        changed = False
+        for i in range(m):
+            for j in np.flatnonzero(near[i]):
+                if component[j] > component[i]:
+                    component[j] = component[i]
+                    changed = True
+    return component
+
+
+class TestMatchAtoms:
+    def check_against_oracle(self, points, weights):
+        labels, reps, sums = match_atoms(points, weights)
+        component = single_linkage_oracle(points)
+        # Same partition of the rows.
+        pairs = {(component[i], int(labels[i])) for i in range(len(points))}
+        assert len(pairs) == len(set(component)) == len(reps)
+        # Groups come in the order of their lexicographically first rows,
+        # which represent them; weights are summed in lexicographic order.
+        order = np.lexsort(points.T[::-1])
+        seen = []
+        for i in order:
+            if labels[i] not in seen:
+                seen.append(labels[i])
+                assert np.array_equal(reps[labels[i]], points[i])
+        assert seen == list(range(len(reps)))
+        expected = np.zeros(len(reps))
+        for i in order:
+            expected[labels[i]] += weights[i]
+        assert np.array_equal(sums, expected)
+
+    def test_exact_duplicates_form_one_group(self):
+        pts = np.array([[1.0, 0.0], [0.0, 0.0], [1.0, 0.0], [0.0, 0.0]])
+        labels, reps, sums = match_atoms(pts, np.array([0.1, 0.2, 0.3, 0.4]))
+        assert labels.tolist() == [1, 0, 1, 0]
+        assert reps.tolist() == [[0.0, 0.0], [1.0, 0.0]]
+        assert sums.tolist() == [0.2 + 0.4, 0.1 + 0.3]
+
+    def test_chains_join_ends_farther_apart_than_the_tolerance(self):
+        pts = np.array([[0.0], [0.8e-9], [1.6e-9], [2.4e-9], [5.0e-9]])
+        labels, reps, _ = match_atoms(pts, np.ones(5))
+        assert labels.tolist() == [0, 0, 0, 0, 1]
+        assert np.max(np.abs(pts[3] - pts[0])) > POSITION_TOL
+        self.check_against_oracle(pts, np.arange(5.0))
+
+    def test_a_bridge_merges_two_existing_groups(self):
+        tol = POSITION_TOL
+        pts = np.array([[0.0, 0.0], [0.0, 0.5 * tol],
+                        [1.8 * tol, 0.0], [1.8 * tol, 0.5 * tol],
+                        [0.9 * tol, 0.25 * tol]])
+        labels, _, sums = match_atoms(pts, np.ones(5))
+        assert set(labels.tolist()) == {0}
+        assert sums.tolist() == [5.0]
+        self.check_against_oracle(pts, np.arange(5.0))
+        labels, _, _ = match_atoms(pts[:4], np.ones(4))
+        assert labels.tolist() == [0, 0, 1, 1]
+
+    def test_empty_input(self):
+        labels, reps, sums = match_atoms(np.empty((0, 3)), np.empty(0))
+        assert labels.shape == (0,) and reps.shape == (0, 3)
+        assert sums.shape == (0,)
+
+    @given(st.integers(0, 10_000), st.sampled_from([1, 2, 4, 64]))
+    def test_agrees_with_the_brute_force_oracle(self, seed, n):
+        rng = np.random.default_rng(seed)
+        centers = rng.integers(-2, 3, size=(int(rng.integers(1, 5)), n))
+        m = int(rng.integers(1, 30))
+        steps = rng.integers(-3, 4, size=(m, n)) * (rng.random((m, n)) < 0.5)
+        pts = centers[rng.integers(0, len(centers), m)] \
+            + steps * rng.choice([0.3, 0.45, 0.6]) * POSITION_TOL
+        pts = np.vstack([pts, pts[rng.integers(0, m, int(rng.integers(0, 6)))]])
+        self.check_against_oracle(pts, rng.standard_normal(len(pts)))
 
 
 class TestFrameOperator:

@@ -1,10 +1,13 @@
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from obliqueframes import ParseError
+import obliqueframes
+from obliqueframes import ParseError, transport
 from obliqueframes.cli import main
 from obliqueframes.serialize import (
     measure_from_obj,
@@ -277,6 +280,37 @@ class TestCli:
         assert run_cli("minimize", fixture("mercedes_benz_frame.json"),
                        fixture("plane.json"), "--max-iters", "1",
                        "--grad-tol", "1e-30") == 4
+
+    def test_internal_consistency_error_exits_5(self, monkeypatch, capsys):
+        def disconnected(cost, basis, m, k):
+            return np.full(m, np.nan), np.full(k, np.nan)
+
+        monkeypatch.setattr(transport, "_tree_duals", disconnected)
+        assert run_cli("w2", fixture("skew_line_mu.json"),
+                       fixture("skew_line_nu.json")) == 5
+        err = capsys.readouterr().err
+        assert err == ("internal consistency check failed: "
+                       "basis tree lost connectivity\n")
+
+    def test_glue_mismatch_message_is_independent_of_hash_seed(self, tmp_path):
+        from obliqueframes import canonical_dual_measure
+        from obliqueframes.gallery import full_space, mercedes_benz_measure
+
+        plane = full_space(2)
+        _, gamma = canonical_dual_measure(mercedes_benz_measure(), plane, plane)
+        dual_path = tmp_path / "dual.json"
+        serialize_fixture(gamma, str(dual_path))
+        src = os.path.dirname(os.path.dirname(obliqueframes.__file__))
+        runs = []
+        for seed in ("1", "4"):
+            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+            runs.append(subprocess.run(
+                [sys.executable, "-m", "obliqueframes", "glue", str(dual_path),
+                 fixture("skew_line_product_coupling.json")],
+                env=env, capture_output=True, text=True, timeout=120))
+        assert [r.returncode for r in runs] == [2, 2]
+        assert runs[0].stderr.startswith("error: shared marginal masses")
+        assert runs[0].stderr == runs[1].stderr
 
     def test_dimension_mismatch_exits_2(self):
         assert run_cli("w2", fixture("skew_line_mu.json"),

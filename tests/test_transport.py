@@ -5,8 +5,11 @@ from hypothesis import given, strategies as st
 
 from obliqueframes import (
     Coupling,
+    DimensionMismatch,
     DiscreteMeasure,
+    InternalConsistencyError,
     MarginalMismatch,
+    NonConvergence,
     coupling_cost,
     dirac,
     exact_w2,
@@ -15,9 +18,12 @@ from obliqueframes import (
     identity_coupling,
     product_coupling,
     uniform_atoms,
+    solve_transport,
     weak_equal,
 )
+from obliqueframes import transport
 from obliqueframes.gallery import skew_line_measures
+from obliqueframes.measures import POSITION_TOL
 
 
 def sorted_quantile_w2_1d(x, wx, y, wy):
@@ -71,6 +77,12 @@ class TestCouplings:
         nu = DiscreteMeasure([[2.0], [3.0]], [0.5, 0.5])
         with pytest.raises(MarginalMismatch):
             Coupling([[0.0]], [[2.0]], [1.0], mu, nu)
+
+    def test_marginal_atoms_need_not_be_lexsort_neighbours(self):
+        a = DiscreteMeasure([[0.0, 1.0], [0.0, 2.0]], [0.5, 0.5])
+        b = DiscreteMeasure([[1e-12, 1.0], [0.0, 2.0]], [0.5, 0.5])
+        gamma = Coupling(a.points, b.points, [0.5, 0.5], a, a)
+        assert gamma.num_pairs == 2
 
     @given(st.integers(0, 5_000))
     def test_product_coupling_marginals_always_pass(self, seed):
@@ -174,6 +186,23 @@ class TestExactW2:
         assert d <= np.sqrt(coupling_cost(feasible)) + 1e-9
         assert d == pytest.approx(np.sqrt(coupling_cost(gamma_opt)), abs=1e-9)
 
+    def test_lost_basis_connectivity_is_an_internal_error(self, monkeypatch):
+        def disconnected(cost, basis, m, k):
+            return np.full(m, np.nan), np.full(k, np.nan)
+
+        monkeypatch.setattr(transport, "_tree_duals", disconnected)
+        with pytest.raises(InternalConsistencyError, match="connectivity"):
+            solve_transport(np.ones((2, 2)), [0.5, 0.5], [0.5, 0.5])
+
+    def test_exhausted_pivot_budget_is_nonconvergence(self, monkeypatch):
+        # Duals that price every nonbasic cell negative keep it pivoting.
+        def always_improvable(cost, basis, m, k):
+            return np.full(m, 10.0), np.zeros(k)
+
+        monkeypatch.setattr(transport, "_tree_duals", always_improvable)
+        with pytest.raises(NonConvergence, match="pivot budget"):
+            solve_transport(np.ones((2, 2)), [0.5, 0.5], [0.5, 0.5])
+
     def test_degenerate_weights_with_zero_atoms(self):
         mu = DiscreteMeasure([[0.0], [1.0], [5.0]], [0.5, 0.5, 0.0])
         nu = DiscreteMeasure([[2.0], [3.0]], [0.5, 0.5])
@@ -214,6 +243,47 @@ class TestGlue:
         xz = tri.xz_coupling()
         assert weak_equal(xz.marginal_x, mu)
         assert weak_equal(xz.marginal_y, eta)
+
+    def test_middle_marginals_in_different_dimensions_raise(self):
+        g1 = product_coupling(dirac([0.0]), dirac([1.0]))
+        g2 = product_coupling(dirac([1.0, 0.0]), dirac([0.0, 0.0]))
+        with pytest.raises(DimensionMismatch):
+            glue(g1, g2)
+
+    def test_middle_atoms_across_a_rounding_boundary_match(self):
+        # 0.5e-9 -+ 1e-13 round to different multiples of POSITION_TOL.
+        g1 = product_coupling(dirac([0.0]), dirac([0.5e-9 - 1e-13]))
+        g2 = product_coupling(dirac([0.5e-9 + 1e-13]), dirac([1.0]))
+        tri = glue(g1, g2)
+        assert tri.weights.tolist() == [1.0]
+        assert tri.z.tolist() == [[1.0]]
+
+    def test_mismatch_reports_the_first_group(self):
+        g1 = product_coupling(dirac([0.0]),
+                              uniform_atoms([[2.0], [1.0], [0.0]]))
+        g2 = product_coupling(dirac([0.0]), dirac([5.0]))
+        with pytest.raises(MarginalMismatch, match="differ by 6.667e-01"):
+            glue(g1, g2)
+
+    @given(st.integers(0, 10_000), st.sampled_from([1, 2, 4]))
+    def test_moves_below_a_tenth_of_the_tolerance_are_invisible(self, seed, n):
+        rng = np.random.default_rng(seed)
+        m = int(rng.integers(1, 8))
+        # Atoms on a grid of POSITION_TOL steps, so some lie within the
+        # tolerance of each other and some just outside it.
+        pts = rng.integers(-3, 4, size=(m, n)) * POSITION_TOL \
+            + rng.integers(-1, 2, size=(m, n))
+        w = rng.random(m) + 0.1
+        mu = DiscreteMeasure(pts, w / w.sum())
+        moved = DiscreteMeasure(
+            pts + rng.uniform(-0.099, 0.099, size=(m, n)) * POSITION_TOL,
+            mu.weights)
+        assert weak_equal(mu, moved) and weak_equal(moved, mu)
+        g1 = product_coupling(dirac(np.zeros(n)), mu)
+        g2 = identity_coupling(moved)
+        tri = glue(g1, g2)
+        assert np.sum(tri.weights) == pytest.approx(1.0, abs=1e-12)
+        assert weak_equal(tri.xz_coupling().marginal_y, moved)
 
     def test_glue_through_a_map_composes_costs(self):
         mu = uniform_atoms([[0.0], [1.0]])
