@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import NonConvergence
 from .frames import FiniteFrame, ObliqueDualPair, canonical_oblique_dual
 from .linalg import DEFAULT_TOL, Subspace, Tolerance, orthonormal_basis
 from .measures import DiscreteMeasure, dirac, uniform_atoms
@@ -82,7 +83,7 @@ def random_frame(rng: np.random.Generator, W: Subspace, N: int,
         s = np.linalg.svd(coeff, compute_uv=False)
         if s[-1] > 0.2:
             return FiniteFrame.create(coeff @ W.basis.T, W, tol)
-    raise RuntimeError("failed to draw a well-conditioned frame")
+    raise NonConvergence("failed to draw a well-conditioned frame")
 
 
 def random_admissible_pair(rng: np.random.Generator, n: int, d: int,
@@ -95,7 +96,7 @@ def random_admissible_pair(rng: np.random.Generator, n: int, d: int,
         if W.dim == V.dim == d and \
                 min(subspace_angle_cos(W, V), subspace_angle_cos(V, W)) >= min_cos:
             return W, V
-    raise RuntimeError("failed to draw an admissible subspace pair")
+    raise NonConvergence("failed to draw an admissible subspace pair")
 
 
 def random_measure_on(rng: np.random.Generator, W: Subspace, m: int) -> DiscreteMeasure:
@@ -109,4 +110,4 @@ def random_measure_on(rng: np.random.Generator, W: Subspace, m: int) -> Discrete
         if s[-1] > 0.2:
             w = 0.2 + rng.random(m)
             return DiscreteMeasure(coeff @ W.basis.T, w / np.sum(w))
-    raise RuntimeError("failed to draw a spanning measure")
+    raise NonConvergence("failed to draw a spanning measure")

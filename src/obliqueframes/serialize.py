@@ -78,12 +78,19 @@ def write_atomic(text: str, path: str):
 # Field extraction
 
 
-def _require(obj: dict, field: str, kind: str):
+def _require(obj: dict, field: str):
     if not isinstance(obj, dict):
         raise ParseError(f"expected an object with a '{field}' field")
     if field not in obj:
         raise ParseError(f"missing required field '{field}'")
     return obj[field]
+
+
+def _ambient_dim(obj: dict) -> int:
+    n = _require(obj, "ambient_dim")
+    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+        raise ParseError("field 'ambient_dim' must be a positive integer")
+    return n
 
 
 def _number_list(value, field: str) -> list[float]:
@@ -112,10 +119,10 @@ def subspace_to_obj(s: Subspace) -> dict:
 
 
 def subspace_from_obj(obj) -> Subspace:
-    n = _require(obj, "ambient_dim", "subspace")
-    basis = _matrix(_require(obj, "basis", "subspace"), "basis")
+    n = _ambient_dim(obj)
+    basis = _matrix(_require(obj, "basis"), "basis")
     try:
-        return Subspace(ambient_dim=int(n), basis=basis)
+        return Subspace(ambient_dim=n, basis=basis)
     except Exception as exc:
         raise ParseError(f"invalid subspace: {exc}") from exc
 
@@ -129,9 +136,9 @@ def frame_to_obj(f: FiniteFrame) -> dict:
 
 
 def frame_from_obj(obj, tol: Tolerance = DEFAULT_TOL) -> FiniteFrame:
-    n = int(_require(obj, "ambient_dim", "frame"))
-    basis = _matrix(_require(obj, "subspace_basis", "frame"), "subspace_basis")
-    vectors = _matrix(_require(obj, "vectors", "frame"), "vectors")
+    n = _ambient_dim(obj)
+    basis = _matrix(_require(obj, "subspace_basis"), "subspace_basis")
+    vectors = _matrix(_require(obj, "vectors"), "vectors")
     try:
         return FiniteFrame.create(vectors, Subspace(n, basis), tol)
     except Exception as exc:
@@ -147,9 +154,9 @@ def pair_to_obj(pair: ObliqueDualPair) -> dict:
 
 
 def pair_from_obj(obj, tol: Tolerance = DEFAULT_TOL) -> ObliqueDualPair:
-    synthesis = frame_from_obj(_require(obj, "synthesis", "pair"), tol)
-    analysis = frame_from_obj(_require(obj, "analysis", "pair"), tol)
-    residual = _require(obj, "residual", "pair")
+    synthesis = frame_from_obj(_require(obj, "synthesis"), tol)
+    analysis = frame_from_obj(_require(obj, "analysis"), tol)
+    residual = _require(obj, "residual")
     if not isinstance(residual, (int, float)) or isinstance(residual, bool):
         raise ParseError("field 'residual' must be a number")
     try:
@@ -168,9 +175,9 @@ def measure_to_obj(mu: DiscreteMeasure) -> dict:
 
 
 def measure_from_obj(obj) -> DiscreteMeasure:
-    n = int(_require(obj, "ambient_dim", "measure"))
-    points = _matrix(_require(obj, "points", "measure"), "points")
-    weights = _number_list(_require(obj, "weights", "measure"), "weights")
+    n = _ambient_dim(obj)
+    points = _matrix(_require(obj, "points"), "points")
+    weights = _number_list(_require(obj, "weights"), "weights")
     if points.shape[1] != n:
         raise ParseError(
             f"points have length {points.shape[1]}, ambient_dim is {n}"
@@ -191,15 +198,21 @@ def coupling_to_obj(gamma: Coupling) -> dict:
 
 
 def coupling_from_obj(obj) -> Coupling:
-    pairs = _require(obj, "pairs", "coupling")
+    pairs = _require(obj, "pairs")
     if not isinstance(pairs, list) or not pairs:
         raise ParseError("field 'pairs' must be a non-empty array")
     xs, ys, ws = [], [], []
     for k, entry in enumerate(pairs):
         if not isinstance(entry, list) or len(entry) != 3:
             raise ParseError(f"pair {k} must be [x, y, weight]")
-        xs.append(_number_list(entry[0], f"pairs[{k}].x"))
-        ys.append(_number_list(entry[1], f"pairs[{k}].y"))
+        for side, value, rows in (("x", entry[0], xs), ("y", entry[1], ys)):
+            row = _number_list(value, f"pairs[{k}].{side}")
+            if not row:
+                raise ParseError(f"field 'pairs[{k}].{side}' must be non-empty")
+            if rows and len(row) != len(rows[0]):
+                raise ParseError(f"field 'pairs[{k}].{side}' has length "
+                                 f"{len(row)}, pairs[0].{side} has {len(rows[0])}")
+            rows.append(row)
         if not isinstance(entry[2], (int, float)) or isinstance(entry[2], bool):
             raise ParseError(f"pairs[{k}].weight must be a number")
         ws.append(float(entry[2]))

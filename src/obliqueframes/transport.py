@@ -87,14 +87,14 @@ def coupling_cost(gamma: Coupling) -> float:
 def _northwest_corner(supply: np.ndarray, demand: np.ndarray):
     m, k = supply.shape[0], demand.shape[0]
     flows = np.zeros((m, k))
-    basis: list[tuple[int, int]] = []
+    in_basis = np.zeros((m, k), dtype=bool)
     ra = supply.copy()
     rb = demand.copy()
     i = j = 0
     while True:
         t = min(ra[i], rb[j])
         flows[i, j] = t
-        basis.append((i, j))
+        in_basis[i, j] = True
         ra[i] = max(ra[i] - t, 0.0)
         rb[j] = max(rb[j] - t, 0.0)
         if i == m - 1 and j == k - 1:
@@ -105,63 +105,35 @@ def _northwest_corner(supply: np.ndarray, demand: np.ndarray):
             j += 1
         else:
             i += 1
-    return flows, basis
+    return flows, in_basis
 
 
-def _tree_duals(cost: np.ndarray, basis: list[tuple[int, int]], m: int, k: int):
-    rows_of: list[list[int]] = [[] for _ in range(k)]
-    cols_of: list[list[int]] = [[] for _ in range(m)]
-    for (i, j) in basis:
-        cols_of[i].append(j)
-        rows_of[j].append(i)
-    u = np.full(m, np.nan)
-    v = np.full(k, np.nan)
-    u[0] = 0.0
-    stack = [(True, 0)]
+def _tree_duals(cost: list[list[float]], in_basis: np.ndarray):
+    """Potentials and parent links of the basis tree, from one DFS at row 0.
+
+    Nodes 0..m-1 are the rows and m..m+k-1 the columns; row 0 is its own
+    parent.  Each potential is its cell's cost minus its tree parent's
+    potential.  Nodes the walk does not reach keep a NaN potential.
+    """
+    m, k = in_basis.shape
+    adj: list[list[int]] = [[] for _ in range(m + k)]
+    rows, cols = np.nonzero(in_basis)
+    for i, j in zip(rows.tolist(), cols.tolist()):
+        adj[i].append(m + j)
+        adj[m + j].append(i)
+    pot = [float("nan")] * (m + k)
+    parent = [-1] * (m + k)
+    pot[0] = 0.0
+    parent[0] = 0
+    stack = [0]
     while stack:
-        is_row, idx = stack.pop()
-        if is_row:
-            for j in cols_of[idx]:
-                if np.isnan(v[j]):
-                    v[j] = cost[idx, j] - u[idx]
-                    stack.append((False, j))
-        else:
-            for i in rows_of[idx]:
-                if np.isnan(u[i]):
-                    u[i] = cost[i, idx] - v[idx]
-                    stack.append((True, i))
-    return u, v
-
-
-def _basis_cycle(basis: set[tuple[int, int]], enter: tuple[int, int],
-                 m: int, k: int) -> list[tuple[int, int]]:
-    """Unique cycle created by adding the entering cell to the basis tree,
-    returned as the cell sequence starting with the entering cell."""
-    # Path from the entering column node back to the entering row node.
-    adj: dict[tuple[str, int], list[tuple[str, int]]] = {}
-    for (i, j) in basis:
-        adj.setdefault(("r", i), []).append(("c", j))
-        adj.setdefault(("c", j), []).append(("r", i))
-    start, goal = ("c", enter[1]), ("r", enter[0])
-    prev: dict[tuple[str, int], tuple[str, int]] = {start: start}
-    queue = [start]
-    while queue:
-        node = queue.pop(0)
-        if node == goal:
-            break
-        for nxt in adj.get(node, ()):
-            if nxt not in prev:
-                prev[nxt] = node
-                queue.append(nxt)
-    path_nodes = [goal]
-    while path_nodes[-1] != start:
-        path_nodes.append(prev[path_nodes[-1]])
-    path_nodes.reverse()
-    cells = [enter]
-    for a, b in zip(path_nodes, path_nodes[1:]):
-        (ka, ia), (kb, ib) = a, b
-        cells.append((ia, ib) if ka == "r" else (ib, ia))
-    return cells
+        a = stack.pop()
+        for b in adj[a]:
+            if parent[b] < 0:
+                parent[b] = a
+                pot[b] = (cost[a][b - m] if a < m else cost[b][a - m]) - pot[a]
+                stack.append(b)
+    return np.array(pot[:m]), np.array(pot[m:]), parent
 
 
 @dataclass(frozen=True)
@@ -171,13 +143,14 @@ class TransportCertificate:
     iterations: int
 
 
-def solve_transport(cost: np.ndarray, supply: np.ndarray, demand: np.ndarray,
-                    pivot_tol: float = 1e-12):
+def solve_transport(cost: np.ndarray, supply: np.ndarray, demand: np.ndarray):
     """Minimize sum c_ij x_ij over the transportation polytope.
 
     Bland's least-index entering rule plus a least-index leaving rule keep
-    the simplex from cycling on degenerate instances.  Returns the optimal
-    flows and a duality certificate.
+    the simplex from cycling on degenerate instances.  Each pivot walks the
+    basis tree once: the walk's potentials price the cells and its parent
+    links close the entering cycle.  Returns the optimal flows and a
+    duality certificate.
     """
     cost = np.asarray(cost, dtype=float)
     supply = np.asarray(supply, dtype=float).copy()
@@ -188,31 +161,37 @@ def solve_transport(cost: np.ndarray, supply: np.ndarray, demand: np.ndarray,
     if abs(float(np.sum(supply) - np.sum(demand))) > MARGINAL_TOL:
         raise MarginalMismatch("total supply and demand differ")
 
-    flows, basis_list = _northwest_corner(supply, demand)
-    basis = set(basis_list)
-    scale = pivot_tol * (1.0 + float(np.max(np.abs(cost))))
+    flows, in_basis = _northwest_corner(supply, demand)
+    cost_rows = cost.tolist()
+    scale = 1e-12 * (1.0 + float(np.max(np.abs(cost))))
 
     iterations = 0
     max_pivots = 200 * (m * k + 10)
     while True:
-        u, v = _tree_duals(cost, sorted(basis), m, k)
+        u, v, parent = _tree_duals(cost_rows, in_basis)
         if np.isnan(u).any() or np.isnan(v).any():
             raise InternalConsistencyError("basis tree lost connectivity")
-        reduced = cost - u[:, None] - v[None, :]
-        entering = None
-        for i in range(m):
-            for j in range(k):
-                if (i, j) not in basis and reduced[i, j] < -scale:
-                    entering = (i, j)
-                    break
-            if entering is not None:
-                break
-        if entering is None:
+        improving = (cost - u[:, None] - v[None, :] < -scale) & ~in_basis
+        first = int(np.argmax(improving))
+        if not improving.flat[first]:
             break
         iterations += 1
         if iterations > max_pivots:
             raise NonConvergence("transportation simplex exceeded pivot budget")
-        cycle = _basis_cycle(basis, entering, m, k)
+        entering = divmod(first, k)
+        # The cycle runs from the entering column up to the first node it
+        # shares with the entering row's path to the root, then down to the
+        # entering row; its cells alternate +, - starting with the entering one.
+        up = [entering[0]]
+        while up[-1] != 0:
+            up.append(parent[up[-1]])
+        on_up = {node: pos for pos, node in enumerate(up)}
+        path = [m + entering[1]]
+        while path[-1] not in on_up:
+            path.append(parent[path[-1]])
+        path += reversed(up[:on_up[path[-1]]])
+        cycle = [entering] + [(a, b - m) if a < m else (b, a - m)
+                              for a, b in zip(path, path[1:])]
         minus = cycle[1::2]
         theta = min(flows[c] for c in minus)
         leaving = min(c for c in minus if flows[c] <= theta)
@@ -221,8 +200,8 @@ def solve_transport(cost: np.ndarray, supply: np.ndarray, demand: np.ndarray,
                 flows[c] += theta
             else:
                 flows[c] = max(flows[c] - theta, 0.0)
-        basis.remove(leaving)
-        basis.add(entering)
+        in_basis[leaving] = False
+        in_basis[entering] = True
 
     primal = float(np.sum(flows * cost))
     dual = float(np.dot(u, supply) + np.dot(v, demand))

@@ -5,6 +5,7 @@ from hypothesis import example, given, strategies as st
 from obliqueframes import (
     AllZero,
     DirectSumViolation,
+    NonConvergence,
     Subspace,
     Tolerance,
     oblique_projection,
@@ -124,6 +125,12 @@ class TestSubspaceAngles:
         W = full_space(3)
         V = random_subspace(np.random.default_rng(0), 3, 2)
         assert subspace_angle_cos(W, V) == 0.0
+
+    def test_exhausted_redraw_budget_is_nonconvergence(self):
+        # Random 24-dimensional subspaces of R^32 almost never meet the
+        # default min_cos of 0.25, so every one of the 500 redraws fails.
+        with pytest.raises(NonConvergence, match="admissible subspace pair"):
+            random_admissible_pair(np.random.default_rng(0), 32, 24)
 
 
 class TestOrthogonalProjection:

@@ -95,6 +95,40 @@ class TestParseErrors:
             parse_fixture(str(path), "subspace")
 
 
+def bad_measure(ambient_dim, points=((1.0, 0.0),)):
+    return {"ambient_dim": ambient_dim, "points": [list(p) for p in points],
+            "weights": [1.0]}
+
+
+# (verb arguments with "BAD" where the malformed fixture goes, its content,
+#  the field the error must name)
+MALFORMED_INPUTS = {
+    "list_dim_w2": (["w2", "BAD", "skew_line_nu.json"], bad_measure([2]),
+                    "ambient_dim"),
+    "list_dim_pf_classify": (["pf-classify", "BAD", "plane.json"],
+                             bad_measure([2]), "ambient_dim"),
+    "null_dim": (["w2", "BAD", "skew_line_nu.json"], bad_measure(None),
+                 "ambient_dim"),
+    "bool_dim": (["w2", "BAD", "BAD"], bad_measure(True, [[1.0]]),
+                 "ambient_dim"),
+    "fractional_dim": (["w2", "BAD", "BAD"], bad_measure(1.7, [[1.0]]),
+                       "ambient_dim"),
+    "zero_dim_empty_points": (["w2", "BAD", "BAD"], bad_measure(0, [[]]),
+                              "ambient_dim"),
+    "empty_pair_glue": (["glue", "BAD", "BAD"], {"pairs": [[[], [], 1.0]]},
+                        "pairs[0].x"),
+    "empty_pair_pf_check": (
+        ["pf-check", "skew_line_mu.json", "skew_line_nu.json", "BAD"],
+        {"pairs": [[[], [], 1.0]]}, "pairs[0].x"),
+    "ragged_pair_x": (["glue", "BAD", "BAD"],
+                      {"pairs": [[[1, 0], [0, 0], 0.5], [[1], [2, 2], 0.5]]},
+                      "pairs[1].x"),
+    "ragged_pair_y": (["glue", "BAD", "BAD"],
+                      {"pairs": [[[1, 0], [0, 0], 0.5], [[1, 0], [2], 0.5]]},
+                      "pairs[1].y"),
+}
+
+
 def run_cli(*argv, out=None):
     args = list(argv)
     if out is not None:
@@ -262,6 +296,18 @@ class TestCli:
         bad.write_text("{} ")
         assert run_cli("check-dual", str(bad)) == 2
 
+    @pytest.mark.parametrize("argv,content,field", MALFORMED_INPUTS.values(),
+                             ids=MALFORMED_INPUTS.keys())
+    def test_malformed_fixture_exits_2_with_one_error_line(
+            self, tmp_path, capsys, argv, content, field):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(content))
+        paths = [str(bad) if a == "BAD" else fixture(a) for a in argv[1:]]
+        assert run_cli(argv[0], *paths) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: field '" + field + "'")
+        assert err.count("\n") == 1 and err.endswith("\n")
+
     def test_hypothesis_violation_exits_3(self, tmp_path):
         from obliqueframes import Coupling, DiscreteMeasure
         nu = parse_fixture(fixture("skew_line_nu.json"), "measure")
@@ -282,8 +328,9 @@ class TestCli:
                        "--grad-tol", "1e-30") == 4
 
     def test_internal_consistency_error_exits_5(self, monkeypatch, capsys):
-        def disconnected(cost, basis, m, k):
-            return np.full(m, np.nan), np.full(k, np.nan)
+        def disconnected(cost, in_basis):
+            m, k = in_basis.shape
+            return np.full(m, np.nan), np.full(k, np.nan), [-1] * (m + k)
 
         monkeypatch.setattr(transport, "_tree_duals", disconnected)
         assert run_cli("w2", fixture("skew_line_mu.json"),

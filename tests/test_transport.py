@@ -1,4 +1,6 @@
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -59,6 +61,38 @@ def random_integer_weighted_1d(rng, max_atoms=12):
     pts = rng.uniform(-5.0, 5.0, size=m)
     counts = rng.integers(1, 10, size=m)
     return pts, counts
+
+
+def brute_force_assignment_cost(cost):
+    """Independent oracle for uniform weights on m = k atoms: by Birkhoff's
+    theorem some permutation matrix is an optimal plan, so scan them all."""
+    m = cost.shape[0]
+    return min(sum(cost[i, p[i]] for i in range(m))
+               for p in itertools.permutations(range(m))) / m
+
+
+def highs_transport_cost(cost, supply, demand):
+    """Independent LP oracle: HiGHS dual simplex on the same program.  Its
+    default feasibility tolerances admit slightly negative flows that
+    undercut the optimum by ~3e-9 relative, so both are tightened."""
+    from scipy.optimize import linprog
+    from scipy.sparse import eye, kron, vstack
+
+    m, k = cost.shape
+    rows = kron(eye(m), np.ones((1, k)))
+    cols = kron(np.ones((1, m)), eye(k))
+    res = linprog(cost.reshape(-1), A_eq=vstack([rows, cols]).tocsr(),
+                  b_eq=np.concatenate([supply, demand]), bounds=(0, None),
+                  method="highs-ds",
+                  options={"primal_feasibility_tolerance": 1e-10,
+                           "dual_feasibility_tolerance": 1e-10})
+    assert res.status == 0, res.message
+    return float(res.fun)
+
+
+def squared_distances(x, y):
+    diff = x[:, None, :] - y[None, :, :]
+    return np.einsum("ijk,ijk->ij", diff, diff)
 
 
 class TestCouplings:
@@ -187,8 +221,9 @@ class TestExactW2:
         assert d == pytest.approx(np.sqrt(coupling_cost(gamma_opt)), abs=1e-9)
 
     def test_lost_basis_connectivity_is_an_internal_error(self, monkeypatch):
-        def disconnected(cost, basis, m, k):
-            return np.full(m, np.nan), np.full(k, np.nan)
+        def disconnected(cost, in_basis):
+            m, k = in_basis.shape
+            return np.full(m, np.nan), np.full(k, np.nan), [-1] * (m + k)
 
         monkeypatch.setattr(transport, "_tree_duals", disconnected)
         with pytest.raises(InternalConsistencyError, match="connectivity"):
@@ -196,8 +231,11 @@ class TestExactW2:
 
     def test_exhausted_pivot_budget_is_nonconvergence(self, monkeypatch):
         # Duals that price every nonbasic cell negative keep it pivoting.
-        def always_improvable(cost, basis, m, k):
-            return np.full(m, 10.0), np.zeros(k)
+        real_tree_duals = transport._tree_duals
+
+        def always_improvable(cost, in_basis):
+            u, v, parent = real_tree_duals(cost, in_basis)
+            return np.full_like(u, 10.0), np.zeros_like(v), parent
 
         monkeypatch.setattr(transport, "_tree_duals", always_improvable)
         with pytest.raises(NonConvergence, match="pivot budget"):
@@ -209,6 +247,44 @@ class TestExactW2:
         d, _, cert = exact_w2(mu, nu)
         assert d == pytest.approx(2.0, abs=1e-9)
         assert cert.dual_gap <= 1e-9
+
+
+class TestTransportOracles:
+    @pytest.mark.parametrize("dim", [2, 3, 64])
+    @given(seed=st.integers(0, 10_000), rounded=st.booleans())
+    def test_uniform_assignments_match_brute_force(self, dim, seed, rounded):
+        # Integer-rounded points tie many costs, which drives Bland's rule
+        # through degenerate pivots.
+        rng = np.random.default_rng(seed)
+        m = int(rng.integers(1, 7))
+        x = 2.0 * rng.standard_normal((m, dim))
+        y = 2.0 * rng.standard_normal((m, dim))
+        if rounded:
+            x, y = np.round(x), np.round(y)
+        cost = squared_distances(x, y)
+        uniform = np.full(m, 1.0 / m)
+        flows, cert = solve_transport(cost, uniform, uniform)
+        want = brute_force_assignment_cost(cost)
+        assert cert.cost == pytest.approx(want, rel=1e-12, abs=1e-12)
+        assert cert.dual_gap <= 1e-9 * (1.0 + want)
+        assert np.all(flows >= 0.0)
+        assert np.allclose(flows.sum(axis=1), uniform, atol=1e-12)
+        assert np.allclose(flows.sum(axis=0), uniform, atol=1e-12)
+
+    @pytest.mark.parametrize("m", [30, 60])
+    @pytest.mark.parametrize("dim", [4, 64])
+    def test_agrees_with_highs(self, m, dim):
+        pytest.importorskip("scipy")
+        rng = np.random.default_rng([m, dim])
+        cost = squared_distances(rng.standard_normal((m, dim)),
+                                 rng.standard_normal((m, dim)))
+        supply = rng.random(m) + 0.1
+        demand = rng.random(m) + 0.1
+        supply, demand = supply / supply.sum(), demand / demand.sum()
+        _, cert = solve_transport(cost, supply, demand)
+        want = highs_transport_cost(cost, supply, demand)
+        assert cert.cost == pytest.approx(want, rel=1e-9)
+        assert cert.dual_gap <= 1e-9 * want
 
 
 class TestGlue:
