@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .duality import (
+    _require_frame,
     _validate_coupling,
     canonical_dual_measure,
     is_oblique_dual_measure,
@@ -25,7 +26,6 @@ from .errors import (
     HypothesisViolated,
     InternalConsistencyError,
     NotADual,
-    NotAFrame,
 )
 from .linalg import (
     DEFAULT_TOL,
@@ -99,8 +99,7 @@ def consistency_conversions(report: ApproxDualReport, b_nu: float,
     pushforward of nu) dominates the residual.  Both dominations are
     verified before returning.
     """
-    if not classify_probabilistic_frame(nu, V, tol).is_frame:
-        raise NotAFrame("the sampling measure is not a frame for V")
+    _require_frame(nu, V, tol, "the sampling measure")
     to_consistency = float(np.sqrt(b_nu) * report.epsilon_residual)
     dual_map, _ = dual_operator(measure_frame_operator(nu), W, V, tol)
     m2 = second_moment(linear_pushforward(nu, dual_map))
@@ -132,8 +131,8 @@ class _ExactDual:
         V = support_span(nu, tol)
         return cls(
             gamma_dual=gamma_dual,
-            c_upper=classify_probabilistic_frame(mu, W, tol).bounds[1],
-            a_opt=classify_probabilistic_frame(nu, V, tol).bounds[0],
+            c_upper=_require_frame(mu, W, tol, "the measure")[1],
+            a_opt=_require_frame(nu, V, tol, "the dual measure")[0],
             pi_wv=oblique_projection(W, V, tol),
         )
 
@@ -271,14 +270,9 @@ def interiority_experiment(mu: DiscreteMeasure, W: Subspace, V: Subspace,
     and also tracks the perturbed measure's lower frame bound floor.
     """
     nu, gamma_dual = canonical_dual_measure(mu, W, V, tol)
-    c_upper = classify_probabilistic_frame(mu, W, tol).bounds[1]
-    nu_report = classify_probabilistic_frame(nu, V, tol)
-    if not nu_report.is_frame:
-        raise NotAFrame("the dual measure is not a frame for its subspace")
+    c_upper = _require_frame(mu, W, tol, "the measure")[1]
     # The largest lower bound for nu compatible with A * C <= 1.
-    a = min(nu_report.bounds[0], 1.0 / c_upper)
-    if a * c_upper > 1.0 + 1e-9:
-        raise HypothesisViolated("bound product A*C exceeds 1")
+    a = min(_require_frame(nu, V, tol, "the dual measure")[0], 1.0 / c_upper)
     radius = float(np.sqrt(a) * eps)
     dual = _ExactDual.certify(mu, nu, gamma_dual, tol)
 

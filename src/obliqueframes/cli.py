@@ -14,7 +14,7 @@ from . import approx as approx_mod
 from . import duality, frames, measures, potentials, transport
 from .errors import (FrameError, HypothesisViolated, InternalConsistencyError,
                      NonConvergence)
-from .linalg import Tolerance
+from .linalg import Tolerance, tight_and_parseval
 from .serialize import (
     coupling_to_obj,
     dumps_canonical,
@@ -59,6 +59,7 @@ def cmd_frame_info(args):
     tol = _tol(args)
     frame = parse_fixture(args.frame, "frame", tol)
     lo, hi = frames.frame_bounds(frame, tol)
+    tight, parseval = tight_and_parseval(lo, hi, tol)
     _emit(args, {
         "ambient_dim": frame.subspace.ambient_dim,
         "num_vectors": len(frame),
@@ -66,8 +67,8 @@ def cmd_frame_info(args):
         "frame_operator": frames.frame_operator(frame).tolist(),
         "lower_bound": lo,
         "upper_bound": hi,
-        "tight": bool(hi - lo <= tol.eq_tol),
-        "parseval": bool(hi - lo <= tol.eq_tol and abs(hi - 1.0) <= tol.eq_tol),
+        "tight": tight,
+        "parseval": parseval,
     })
 
 
@@ -179,9 +180,7 @@ def cmd_pf_potential(args):
     mu = parse_fixture(args.mu, "measure", tol)
     nu = parse_fixture(args.nu, "measure", tol)
     W = duality.support_span(mu, tol)
-    bounds = measures.classify_probabilistic_frame(mu, W, tol).bounds
-    if bounds is None:
-        raise FrameError("the first measure is not a frame for its span")
+    bounds = duality._require_frame(mu, W, tol, "the first measure")
     gamma = None
     if args.coupling:
         gamma = parse_fixture(args.coupling, "coupling", tol)
@@ -277,6 +276,17 @@ def cmd_interiority(args):
     })
 
 
+def _nonnegative(kind):
+    """argparse type: a finite int or float >= 0."""
+    def parse(text: str):
+        value = kind(text)
+        if not 0 <= value < float("inf"):
+            raise argparse.ArgumentTypeError(f"must be finite and >= 0, got {text}")
+        return value
+    parse.__name__ = kind.__name__  # argparse names it in "invalid int value"
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="obliqueframes",
@@ -323,7 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p", type=float, default=2.0)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--step-size", type=float, default=1.0)
-    p.add_argument("--max-iters", type=int, default=10000)
+    p.add_argument("--max-iters", type=_nonnegative(int), default=10000)
     p.add_argument("--grad-tol", type=float, default=1e-7)
     p.set_defaults(func=cmd_minimize)
 
@@ -377,15 +387,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("dual_coupling")
     p.add_argument("eta")
     p.add_argument("perturbation_coupling")
-    p.add_argument("--eps", type=float, required=True)
+    p.add_argument("--eps", type=_nonnegative(float), required=True)
     p.set_defaults(func=cmd_perturb)
 
     p = sub.add_parser("interiority", help="perturbation Monte-Carlo experiment")
     p.add_argument("measure")
     p.add_argument("synthesis_subspace")
     p.add_argument("sampling_subspace")
-    p.add_argument("--eps", type=float, required=True)
-    p.add_argument("--trials", type=int, default=100)
+    p.add_argument("--eps", type=_nonnegative(float), required=True)
+    p.add_argument("--trials", type=_nonnegative(int), default=100)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--csv", default=None, help="also write per-trial CSV rows")
     p.set_defaults(func=cmd_interiority)

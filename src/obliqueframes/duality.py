@@ -53,6 +53,7 @@ def support_span(mu: DiscreteMeasure, tol: Tolerance = DEFAULT_TOL) -> Subspace:
 
 def _require_frame(mu: DiscreteMeasure, W: Subspace, tol: Tolerance,
                    who: str) -> tuple[float, float]:
+    """Frame bounds of mu on W; the only way the library reads them."""
     report = classify_probabilistic_frame(mu, W, tol)
     if not report.is_frame:
         raise NotAFrame(f"{who} is not a probabilistic frame for its subspace")
@@ -108,19 +109,14 @@ def pushforward_dual_map(mu: DiscreteMeasure, W: Subspace, V: Subspace, h,
     Pushing mu forward by T (with its graph coupling) always produces an
     oblique dual; h identically zero gives the canonical map.
     """
-    h_at = {}
-    for k, x in enumerate(mu.points):
-        hx = np.asarray(h(x), dtype=float)
-        if mu.weights[k] > 0 and not V.contains(hx, tol.eq_tol):
-            raise RangeViolation(f"h leaves the sampling subspace at atom {k}")
-        h_at[k] = hx
+    H = np.array([np.asarray(h(x), dtype=float) for x in mu.points])
+    k = V.first_outside(np.where((mu.weights > 0)[:, None], H, 0.0), tol.eq_tol)
+    if k is not None:
+        raise RangeViolation(f"h leaves the sampling subspace at atom {k}")
     _require_frame(mu, W, tol, "the measure")
     T0, s_pinv = dual_operator(measure_frame_operator(mu), V, W, tol)
     # Correction matrix sum_k w_k h(x_k) x_k^T applied through S^+.
-    corr = np.einsum("k,ki,kj->ij",
-                     mu.weights,
-                     np.array([h_at[k] for k in range(mu.num_atoms)]),
-                     mu.points) @ s_pinv
+    corr = np.einsum("k,ki,kj->ij", mu.weights, H, mu.points) @ s_pinv
 
     def T(x):
         x = np.asarray(x, dtype=float)

@@ -22,6 +22,7 @@ from .linalg import (
     _freeze,
     dual_operator,
     oblique_projection,
+    restricted_spectrum,
     spectral_norm,
 )
 
@@ -50,12 +51,10 @@ class FiniteFrame:
         """Validated constructor: every vector must lie in the subspace
         and the family must span it."""
         frame = cls(np.atleast_2d(np.asarray(vectors, dtype=float)), subspace)
-        for i, w in enumerate(frame.vectors):
-            if not subspace.contains(w, tol.eq_tol):
-                raise NotAFrame(f"vector {i} lies outside the claimed subspace")
-        s = np.linalg.svd(frame.matrix, compute_uv=False)
-        rank = int(np.sum(s > tol.rank_cutoff(frame.matrix.shape) * s[0])) \
-            if s.size and s[0] > 0 else 0
+        i = subspace.first_outside(frame.vectors, tol.eq_tol)
+        if i is not None:
+            raise NotAFrame(f"vector {i} lies outside the claimed subspace")
+        _, rank = restricted_spectrum(frame_operator(frame), subspace, tol)
         if rank != subspace.dim:
             raise NotAFrame(
                 f"vectors span a {rank}-dimensional space, "
@@ -95,13 +94,10 @@ def frame_operator(F: FiniteFrame) -> np.ndarray:
 
 def frame_bounds(F: FiniteFrame, tol: Tolerance = DEFAULT_TOL) -> tuple[float, float]:
     """Extreme eigenvalues of the frame operator restricted to the span."""
-    B = F.subspace.basis
-    restricted = B.T @ frame_operator(F) @ B
-    vals = np.linalg.eigvalsh(restricted)
-    lo, hi = float(vals[0]), float(vals[-1])
-    if lo <= tol.rank_cutoff(restricted.shape) * max(hi, 0.0):
+    vals, rank = restricted_spectrum(frame_operator(F), F.subspace, tol)
+    if rank != F.subspace.dim:
         raise NotAFrame("lower frame bound vanishes: the family is span-deficient")
-    return lo, hi
+    return float(vals[0]), float(vals[-1])
 
 
 def dual_residual(synthesis: FiniteFrame, analysis: FiniteFrame,
@@ -192,9 +188,9 @@ def oblique_dual_family(F: FiniteFrame, V: Subspace, H,
         )
     if Hm.shape[1] != F.subspace.ambient_dim:
         raise DimensionMismatch("parameter vectors have wrong length")
-    for i, h in enumerate(Hm):
-        if not V.contains(h, tol.eq_tol):
-            raise RangeViolation(f"parameter vector {i} lies outside V")
+    i = V.first_outside(Hm, tol.eq_tol)
+    if i is not None:
+        raise RangeViolation(f"parameter vector {i} lies outside V")
     return _FamilyGeometry.build(F, V, tol).pair(Hm.T, tol)
 
 

@@ -1,8 +1,8 @@
 """Dense real linear algebra primitives.
 
 Orthonormalization, Moore-Penrose pseudoinverses, principal subspace
-angles, orthogonal/oblique projections and the dual operator composing
-them, all on plain numpy arrays.
+angles, orthogonal/oblique projections, the dual operator composing them
+and the one frame test, restricted_spectrum, all on plain numpy arrays.
 Everything here is a pure function of immutable inputs; arrays stored on
 dataclasses are marked read-only.
 """
@@ -22,23 +22,18 @@ ORTH_TOL = 1e-10
 class Tolerance:
     """Numerical cutoffs used throughout the library.
 
-    rank_tol: relative singular-value cutoff for rank decisions; ``None``
-        means the usual max(n_rows, n_cols) * machine epsilon.
     eq_tol: absolute residual tolerance for operator-equality checks.
+    Rank decisions use the relative cutoff max(n_rows, n_cols) * machine
+    epsilon of rank_cutoff.
     """
 
-    rank_tol: float | None = None
     eq_tol: float = 1e-9
 
     def __post_init__(self):
-        if self.rank_tol is not None and not self.rank_tol > 0:
-            raise ValueError("rank_tol must be positive")
         if not self.eq_tol > 0:
             raise ValueError("eq_tol must be positive")
 
     def rank_cutoff(self, shape) -> float:
-        if self.rank_tol is not None:
-            return self.rank_tol
         return max(shape) * float(np.finfo(float).eps)
 
 
@@ -85,14 +80,14 @@ class Subspace:
     def dim(self) -> int:
         return self.basis.shape[1]
 
-    def contains(self, x, eq_tol: float = DEFAULT_TOL.eq_tol) -> bool:
-        """Whether x lies in the subspace up to a relative residual."""
-        x = _as_float_array(x, "x")
-        nrm = np.linalg.norm(x)
-        if nrm == 0.0:
-            return True
-        resid = x - self.basis @ (self.basis.T @ x)
-        return np.linalg.norm(resid) <= eq_tol * nrm
+    def first_outside(self, rows, eq_tol: float = DEFAULT_TOL.eq_tol) -> int | None:
+        """Index of the first row x with ||x - B B^T x|| > eq_tol * ||x||,
+        or None when every row lies in the subspace; zero rows always do."""
+        X = np.atleast_2d(_as_float_array(rows, "rows"))
+        resid = X - (X @ self.basis) @ self.basis.T
+        outside = np.flatnonzero(np.linalg.norm(resid, axis=1)
+                                 > eq_tol * np.linalg.norm(X, axis=1))
+        return int(outside[0]) if outside.size else None
 
     def project(self, x) -> np.ndarray:
         return self.basis @ (self.basis.T @ np.asarray(x, dtype=float))
@@ -116,6 +111,25 @@ def pseudoinverse(M, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     """Moore-Penrose inverse with singular values below the cutoff zeroed."""
     M = _as_float_array(M, "matrix")
     return np.linalg.pinv(M, rcond=tol.rank_cutoff(M.shape))
+
+
+def restricted_spectrum(S, W: Subspace,
+                        tol: Tolerance = DEFAULT_TOL) -> tuple[np.ndarray, int]:
+    """The one frame test: ascending eigenvalues of S restricted to W and
+    the rank of S on W, counting eigenvalues above the cutoff pseudoinverse
+    applies to the n x n S.  S spans W (rank dim W) exactly when S^+ keeps
+    full rank on W, and the extreme eigenvalues are then the frame bounds."""
+    vals = np.linalg.eigvalsh(W.basis.T @ S @ W.basis)
+    n = W.ambient_dim
+    rank = int(np.sum(vals > tol.rank_cutoff((n, n)) * vals[-1])) \
+        if vals[-1] > 0 else 0
+    return vals, rank
+
+
+def tight_and_parseval(lo: float, hi: float, tol: Tolerance) -> tuple[bool, bool]:
+    """Tight: bounds within eq_tol; Parseval: also the upper one of 1."""
+    tight = bool(hi - lo <= tol.eq_tol)
+    return tight, tight and abs(hi - 1.0) <= tol.eq_tol
 
 
 def subspace_angle_cos(W: Subspace, V: Subspace) -> float:

@@ -3,7 +3,8 @@
 A discrete measure is a weighted atom cloud; it is a probabilistic frame
 for a subspace W when its support spans W, in which case the second-moment
 matrix plays the role of the frame operator.  Almost-everywhere statements
-degenerate to "for every atom of positive weight".
+degenerate to "for every atom of positive weight".  Frame-ness, bounds and
+tightness come from the same linalg.restricted_spectrum as finite frames.
 Aggregation, weak equality and marginal checks share one test of atom
 identity, match_atoms: single linkage within POSITION_TOL in max norm.
 """
@@ -20,8 +21,8 @@ from .linalg import (
     Tolerance,
     _as_float_array,
     _freeze,
-    orthogonal_projection,
-    spectral_norm,
+    restricted_spectrum,
+    tight_and_parseval,
 )
 
 WEIGHT_SUM_TOL = 1e-12
@@ -180,34 +181,20 @@ def classify_probabilistic_frame(mu: DiscreteMeasure, W: Subspace,
                                  tol: Tolerance = DEFAULT_TOL) -> MeasureFrameReport:
     """Frame/tight/Parseval classification of a measure on a subspace.
 
-    The measure is a frame for W exactly when the (positively weighted)
-    support spans W; bounds are the extreme eigenvalues of the moment
-    matrix restricted to W.
+    The measure is a frame for W exactly when its moment matrix spans W
+    (linalg.restricted_spectrum), and its bounds, the extreme eigenvalues
+    there, alone decide tightness (linalg.tight_and_parseval).
     """
-    for k, x in enumerate(mu.points):
-        if mu.weights[k] > 0 and not W.contains(x, tol.eq_tol):
-            raise SupportOutsideSubspace(
-                f"atom {k} lies outside the claimed subspace"
-            )
+    k = W.first_outside(np.where((mu.weights > 0)[:, None], mu.points, 0.0),
+                        tol.eq_tol)
+    if k is not None:
+        raise SupportOutsideSubspace(f"atom {k} lies outside the claimed subspace")
     S = measure_frame_operator(mu)
-    restricted = W.basis.T @ S @ W.basis
-    vals = np.linalg.eigvalsh(restricted)
+    vals, rank = restricted_spectrum(S, W, tol)
     lo, hi = float(vals[0]), float(vals[-1])
-
-    support = mu.support()
-    if support.shape[0] == 0:
-        rank = 0
-    else:
-        weighted = support * np.sqrt(mu.weights[mu.weights > 0])[:, None]
-        s = np.linalg.svd(weighted.T, compute_uv=False)
-        rank = int(np.sum(s > tol.rank_cutoff(weighted.T.shape) * s[0])) \
-            if s.size and s[0] > 0 else 0
-
     is_frame = rank == W.dim
-    mean_bound = float(np.trace(restricted) / W.dim)
-    is_tight = is_frame and spectral_norm(
-        S - mean_bound * orthogonal_projection(W)) <= tol.eq_tol
-    is_parseval = is_tight and abs(mean_bound - 1.0) <= tol.eq_tol
+    is_tight, is_parseval = tight_and_parseval(lo, hi, tol) if is_frame \
+        else (False, False)
     return MeasureFrameReport(
         second_moment=second_moment(mu),
         frame_operator=S,

@@ -26,6 +26,10 @@ from .linalg import (
 
 # Absolute tolerance for declaring a bound saturated on unit-scale fixtures.
 SATURATION_TOL = 1e-8
+# Descent constants: random start scale, Armijo slope, backtracking factor.
+INIT_SCALE = 0.5
+ARMIJO_C = 1e-4
+SHRINK = 0.5
 
 
 @dataclass(frozen=True)
@@ -222,9 +226,6 @@ class OptimizerOptions:
     max_iters: int = 10000
     grad_tol: float = 1e-7
     seed: int = 0
-    init_scale: float = 0.5
-    armijo_c: float = 1e-4
-    shrink: float = 0.5
 
 
 def potential_objective(F: FiniteFrame, V: Subspace, C, p: float = 2.0,
@@ -264,24 +265,29 @@ def minimize_dual_potential(
     (plain steepest descent needs far more iterations on these quadratics),
     safeguarded by backtracking Armijo so the trajectory is non-increasing.
     Raises NonConvergence when the gradient norm is still above tolerance
-    at the iteration cap or when the line search can no longer decrease
-    the objective.
+    at the iteration cap (max_iters = 0 tests the start only) or when the
+    line search can no longer decrease the objective.
     """
     if not _is_even_order(p):
         raise ValueError("minimization is defined for even potential orders")
     geom = _FamilyGeometry.build(F, V, tol)
     rng = np.random.default_rng(opts.seed)
-    C = opts.init_scale * rng.standard_normal((V.dim, len(F)))
+    C = INIT_SCALE * rng.standard_normal((V.dim, len(F)))
 
     step = opts.step_size
     value = _value(geom, C, p)
     grad = _gradient(geom, C, p)
     trajectory = [value]
     prev_c = prev_grad = None
-    for _ in range(opts.max_iters):
+    while True:
         gnorm = float(np.linalg.norm(grad))
         if gnorm <= opts.grad_tol:
             return geom.pair(V.basis @ C, tol), trajectory
+        if len(trajectory) > opts.max_iters:
+            raise NonConvergence(
+                f"gradient norm {gnorm:.3e} above {opts.grad_tol:.1e} "
+                f"after {opts.max_iters} iterations"
+            )
         t = step
         if prev_c is not None:
             s = C - prev_c
@@ -292,9 +298,9 @@ def minimize_dual_potential(
         while True:
             cand = C - t * grad
             cand_value = _value(geom, cand, p)
-            if cand_value <= value - opts.armijo_c * t * gnorm * gnorm:
+            if cand_value <= value - ARMIJO_C * t * gnorm * gnorm:
                 break
-            t *= opts.shrink
+            t *= SHRINK
             if t < 1e-20:
                 raise NonConvergence(
                     f"line search stalled with gradient norm {gnorm:.3e} "
@@ -303,9 +309,5 @@ def minimize_dual_potential(
         prev_c, prev_grad = C, grad
         C, value = cand, cand_value
         grad = _gradient(geom, C, p)
-        step = min(t / opts.shrink, 1e6)
+        step = min(t / SHRINK, 1e6)
         trajectory.append(value)
-    raise NonConvergence(
-        f"gradient norm {gnorm:.3e} above {opts.grad_tol:.1e} "
-        f"after {opts.max_iters} iterations"
-    )

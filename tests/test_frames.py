@@ -1,16 +1,20 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from obliqueframes import (
     DimensionMismatch,
+    DiscreteMeasure,
     FiniteFrame,
     NotAFrame,
     RangeViolation,
+    canonical_dual_measure,
     canonical_oblique_dual,
+    classify_probabilistic_frame,
     frame_bounds,
     frame_operator,
     is_oblique_dual,
+    is_oblique_dual_measure,
     oblique_dual_family,
     orthogonal_complement,
     reconstruct,
@@ -41,6 +45,16 @@ class TestFrameConstruction:
     def test_rank_deficient_frame_for_a_line_is_fine(self):
         f = FiniteFrame.create([[1.0, 0.0], [2.0, 0.0]], line([1.0, 0.0]))
         assert len(f) == 2
+
+    def test_singular_value_ratio_below_the_pseudoinverse_cutoff_rejected(self):
+        # Eigenvalue ratio 1e-16 of the frame operator: S^+ would drop it.
+        with pytest.raises(NotAFrame, match="span a 1-dimensional space"):
+            FiniteFrame.create([[1.0, 0.0], [0.0, 1e-8]], full_space(2))
+
+    def test_first_vector_outside_is_named(self):
+        with pytest.raises(NotAFrame, match="vector 2 lies outside"):
+            FiniteFrame.create([[1.0, 0.0], [0.0, 0.0], [1.0, 1.0]],
+                               line([1.0, 0.0]))
 
 
 class TestFrameOperator:
@@ -224,3 +238,68 @@ class TestReconstruct:
             got = np.linalg.norm(f - fhat)
             assert best <= got + 1e-9
             assert got <= best / cos_wv + 1e-9
+
+
+def _scaled_basis(n: int, delta: float, slot: int) -> np.ndarray:
+    """Rows e_1 .. e_n with row `slot` scaled by delta: eigenvalue ratio
+    delta^2 for the frame operator."""
+    rows = np.eye(n)
+    rows[slot] *= delta
+    return rows
+
+
+def _outside_the_cutoff(n: int, delta: float) -> bool:
+    """Whether delta^2 is at least 100x away from the cutoff n * eps, and on
+    which side: True above, False below; skipped otherwise."""
+    ratio = delta * delta / (n * np.finfo(float).eps)
+    assume(not 1e-2 < ratio < 1e2)
+    return ratio > 1.0
+
+
+ILL_CONDITIONED = dict(n=st.sampled_from([2, 4, 64]),
+                       log_delta=st.floats(-12.0, 0.0),
+                       slot=st.integers(0, 63))
+
+
+class TestOneFrameTest:
+    """Frames and measures share restricted_spectrum, so accepting an input
+    as a frame always leaves S^+ full rank on its span."""
+
+    @settings(deadline=None)
+    @given(seed=st.integers(0, 2**16), **ILL_CONDITIONED)
+    def test_create_frame_bounds_and_the_canonical_dual_agree(
+            self, n, log_delta, slot, seed):
+        delta = 10.0 ** log_delta
+        expected = _outside_the_cutoff(n, delta)
+        q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((n, n)))
+        rows = _scaled_basis(n, delta, slot % n) @ q
+        W = full_space(n)
+        try:
+            F = FiniteFrame.create(rows, W)
+        except NotAFrame:
+            F = None
+        try:
+            frame_bounds(FiniteFrame(rows, W))
+            bounded = True
+        except NotAFrame:
+            bounded = False
+        assert (F is not None) == bounded == expected
+        if F is not None:
+            canonical_oblique_dual(F, W)
+
+    @settings(deadline=None)
+    @given(**ILL_CONDITIONED)
+    def test_classify_says_frame_exactly_when_the_dual_certifies(
+            self, n, log_delta, slot):
+        delta = 10.0 ** log_delta
+        expected = _outside_the_cutoff(n, delta)
+        mu = DiscreteMeasure(_scaled_basis(n, delta, slot % n),
+                             np.full(n, 1.0 / n))
+        W = full_space(n)
+        try:
+            nu, gamma = canonical_dual_measure(mu, W, W)
+            certified = is_oblique_dual_measure(mu, nu, gamma)[0]
+        except NotAFrame:
+            certified = False
+        assert classify_probabilistic_frame(mu, W).is_frame == certified \
+            == expected

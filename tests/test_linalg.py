@@ -18,6 +18,7 @@ from obliqueframes import (
     spectral_norm,
     subspace_angle_cos,
 )
+from obliqueframes.linalg import restricted_spectrum
 from obliqueframes.gallery import (
     full_space,
     line,
@@ -35,8 +36,6 @@ def test_subspace_rejects_non_orthonormal_basis():
 
 
 def test_tolerance_validation():
-    with pytest.raises(ValueError):
-        Tolerance(rank_tol=-1.0)
     with pytest.raises(ValueError):
         Tolerance(eq_tol=0.0)
 
@@ -227,3 +226,47 @@ def test_psd_sqrt_and_pinv_sqrt():
     P = Rinv @ M @ Rinv
     assert np.allclose(P @ P, P, atol=1e-9)
     assert np.trace(P) == pytest.approx(2.0, abs=1e-9)
+
+
+class TestFrameTestKernel:
+    def test_first_outside_names_the_first_offending_row(self):
+        W = line([1.0, 0.0])
+        assert W.first_outside([[2.0, 0.0], [0.0, 0.0], [0.0, 1.0],
+                                [1.0, 1.0]]) == 2
+        assert W.first_outside([[2.0, 0.0], [0.0, 0.0]]) is None
+        assert W.first_outside([1.0, 1e-6]) == 0
+
+    @given(st.integers(0, 10_000))
+    def test_first_outside_matches_the_per_row_loop(self, seed):
+        # Reference: the per-row membership test first_outside replaced.
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 8))
+        W = random_subspace(rng, n, int(rng.integers(1, n)))
+        P = W.basis @ W.basis.T
+        rows = rng.standard_normal((6, n)) @ P
+        rows[rng.random(6) < 0.2] = 0.0
+        off = rng.random(6) < 0.3
+        # Off-subspace parts of relative size 1e-7 .. 1, far from EQ.
+        rows[off] += (10.0 ** rng.uniform(-7, 0, (off.sum(), 1))
+                      * rng.standard_normal((off.sum(), n)) @ (np.eye(n) - P))
+        expected = None
+        for i, x in enumerate(rows):
+            nrm = np.linalg.norm(x)
+            if nrm > 0 and np.linalg.norm(x - W.basis @ (W.basis.T @ x)) > EQ * nrm:
+                expected = i
+                break
+        assert W.first_outside(rows, EQ) == expected
+
+    @pytest.mark.parametrize("factor,rank", [(0.5, 1), (2.0, 2)])
+    def test_rank_is_what_the_pseudoinverse_keeps(self, factor, rank):
+        # The cutoff is that of pseudoinverse on the 2x2 operator.
+        S = np.diag([1.0, factor * 2 * np.finfo(float).eps])
+        vals, r = restricted_spectrum(S, full_space(2))
+        assert r == rank == np.count_nonzero(np.diag(pseudoinverse(S)))
+        assert np.array_equal(vals, np.sort(np.diag(S)))
+
+    def test_spectrum_is_taken_on_the_subspace(self):
+        W = line([1.0, 1.0])
+        vals, r = restricted_spectrum(np.ones((2, 2)), W)
+        assert r == 1 and vals == pytest.approx([2.0])
+        assert restricted_spectrum(np.zeros((2, 2)), W)[1] == 0

@@ -195,6 +195,18 @@ class TestClassify:
         with pytest.raises(SupportOutsideSubspace):
             classify_probabilistic_frame(dirac([1.0, 0.5]), line([1.0, 0.0]))
 
+    def test_first_live_atom_outside_is_named(self):
+        mu = DiscreteMeasure([[0.0, 1.0], [1.0, 0.0], [1.0, 1.0]],
+                             [0.0, 0.5, 0.5])
+        with pytest.raises(SupportOutsideSubspace, match="atom 2 lies outside"):
+            classify_probabilistic_frame(mu, line([1.0, 0.0]))
+
+    def test_moment_ratio_below_the_pseudoinverse_cutoff_is_no_frame(self):
+        mu = DiscreteMeasure([[1.0, 0.0], [0.0, 1e-8]], [0.5, 0.5])
+        rep = classify_probabilistic_frame(mu, full_space(2))
+        assert not rep.is_frame and rep.bounds is None
+        assert not rep.is_tight and not rep.is_parseval
+
     def test_zero_weight_atom_outside_is_tolerated(self):
         mu = DiscreteMeasure([[1.0, 0.0], [0.0, 1.0]], [1.0, 0.0])
         rep = classify_probabilistic_frame(mu, line([1.0, 0.0]))

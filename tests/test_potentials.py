@@ -323,6 +323,14 @@ class TestGradientAndMinimization:
             minimize_dual_potential(F, V, 2.0,
                                     OptimizerOptions(max_iters=2))
 
+    def test_zero_budget_tests_the_start_only(self):
+        F, V = mercedes_benz_frame(), full_space(2)
+        _, traj = minimize_dual_potential(
+            F, V, 2.0, OptimizerOptions(max_iters=0, grad_tol=1e6))
+        assert len(traj) == 1
+        with pytest.raises(NonConvergence, match="after 0 iterations"):
+            minimize_dual_potential(F, V, 2.0, OptimizerOptions(max_iters=0))
+
 
 class TestCanonicalCharacterization:
     @given(st.integers(0, 2_000))

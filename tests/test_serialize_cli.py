@@ -362,3 +362,110 @@ class TestCli:
     def test_dimension_mismatch_exits_2(self):
         assert run_cli("w2", fixture("skew_line_mu.json"),
                        fixture("mercedes_benz_frame.json")) == 2
+
+
+# Singular-value ratio 1e-8 in R^2: the frame operator's eigenvalue ratio
+# 1e-16 lies below the pseudoinverse cutoff 2 * machine epsilon.
+ILL_FRAME = {"ambient_dim": 2, "subspace_basis": [[1, 0], [0, 1]],
+             "vectors": [[1, 0], [0, 1e-8]]}
+ILL_MEASURE = {"ambient_dim": 2, "points": [[1, 0], [0, 1e-8]],
+               "weights": [0.5, 0.5]}
+
+
+def write_json(tmp_path, name, obj):
+    path = tmp_path / name
+    path.write_text(json.dumps(obj))
+    return str(path)
+
+
+class TestIllConditionedInputs:
+    """Families whose frame operator S^+ would truncate are non-frames on
+    every verb, each reported as one error line with exit 2."""
+
+    def test_frame_info_and_oblique_dual_agree(self, tmp_path, capsys):
+        frame = write_json(tmp_path, "f.json", ILL_FRAME)
+        assert run_cli("frame-info", frame) == 2
+        info_err = capsys.readouterr().err
+        assert run_cli("oblique-dual", frame, fixture("plane.json")) == 2
+        dual_err = capsys.readouterr().err
+        assert info_err == dual_err == (
+            "error: invalid frame: vectors span a 1-dimensional space, "
+            "claimed dimension is 2\n")
+
+    def test_pf_classify_reports_no_frame(self, tmp_path):
+        measure = write_json(tmp_path, "m.json", ILL_MEASURE)
+        out = tmp_path / "r.json"
+        assert run_cli("pf-classify", measure, fixture("plane.json"),
+                       out=out) == 0
+        rep = load_report(out)
+        assert rep["is_frame"] is False
+        assert rep["bounds"] is None
+
+    def test_pf_dual_exits_2(self, tmp_path, capsys):
+        measure = write_json(tmp_path, "m.json", ILL_MEASURE)
+        assert run_cli("pf-dual", measure, fixture("plane.json"),
+                       fixture("plane.json")) == 2
+        assert capsys.readouterr().err == (
+            "error: the measure is not a probabilistic frame for its subspace\n")
+
+    def test_perturb_on_an_ill_conditioned_pair_exits_2(self, tmp_path, capsys):
+        mu = write_json(tmp_path, "mu.json", {
+            "ambient_dim": 2, "points": [[1, 0], [0, 1e-9]],
+            "weights": [0.5, 0.5]})
+        nu = write_json(tmp_path, "nu.json", {
+            "ambient_dim": 2, "points": [[2, 0], [0, 2e9]],
+            "weights": [0.5, 0.5]})
+        graph = write_json(tmp_path, "g.json", {
+            "pairs": [[[1, 0], [2, 0], 0.5], [[0, 1e-9], [0, 2e9], 0.5]]})
+        ident = write_json(tmp_path, "id.json", {
+            "pairs": [[[2, 0], [2, 0], 0.5], [[0, 2e9], [0, 2e9], 0.5]]})
+        assert run_cli("perturb", mu, nu, graph, nu, ident,
+                       "--eps", "0.1") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
+SKEW = ("skew_line_mu.json", "skew_line_w.json", "skew_line_v.json")
+
+
+class TestArgumentRanges:
+    @pytest.mark.parametrize("extra", [
+        ["--eps", "-1", "--trials", "2"],
+        ["--eps", "nan", "--trials", "2"],
+        ["--eps", "inf", "--trials", "2"],
+        ["--eps", "0.1", "--trials", "-1"],
+    ])
+    def test_interiority_rejects_out_of_range_numbers(self, capsys, extra):
+        with pytest.raises(SystemExit) as exc:
+            run_cli("interiority", *map(fixture, SKEW), *extra)
+        assert exc.value.code == 2
+        assert "must be finite and >= 0" in capsys.readouterr().err
+
+    def test_interiority_eps_zero_runs_the_exact_case(self, tmp_path):
+        out = tmp_path / "r.json"
+        assert run_cli("interiority", *map(fixture, SKEW), "--eps", "0",
+                       "--trials", "2", out=out) == 0
+        assert load_report(out)["failures"] == 0
+
+    def test_perturb_rejects_a_negative_eps(self):
+        coupling = fixture("skew_line_product_coupling.json")
+        with pytest.raises(SystemExit) as exc:
+            run_cli("perturb", fixture("skew_line_mu.json"),
+                    fixture("skew_line_nu.json"), coupling,
+                    fixture("skew_line_nu.json"), coupling, "--eps", "-0.1")
+        assert exc.value.code == 2
+
+    def test_minimize_rejects_a_negative_budget(self):
+        with pytest.raises(SystemExit) as exc:
+            run_cli("minimize", fixture("mercedes_benz_frame.json"),
+                    fixture("plane.json"), "--max-iters", "-1")
+        assert exc.value.code == 2
+
+    def test_minimize_with_a_zero_budget(self, tmp_path, capsys):
+        frame, plane = fixture("mercedes_benz_frame.json"), fixture("plane.json")
+        assert run_cli("minimize", frame, plane, "--max-iters", "0") == 4
+        assert capsys.readouterr().err.endswith("after 0 iterations\n")
+        out = tmp_path / "r.json"
+        assert run_cli("minimize", frame, plane, "--max-iters", "0",
+                       "--grad-tol", "1e6", out=out) == 0
+        assert load_report(out)["iterations"] == 0
