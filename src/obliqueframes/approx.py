@@ -70,8 +70,8 @@ class PerturbationCertificate:
 
 
 def approx_dual_residual(mu: DiscreteMeasure, nu: DiscreteMeasure,
-                         gamma: Coupling, W: Subspace, V: Subspace,
-                         tol: Tolerance = DEFAULT_TOL) -> ApproxDualReport:
+                         gamma: Coupling, W: Subspace, V: Subspace
+                         ) -> ApproxDualReport:
     """Spectral residual of a coupling against the oblique projection.
 
     Also reports the exact worst-case consistency constant: the supremum
@@ -79,7 +79,7 @@ def approx_dual_residual(mu: DiscreteMeasure, nu: DiscreteMeasure,
     norm of S_nu^(1/2) (I - F), F being the coupling moment.
     """
     _validate_coupling(gamma, mu, nu)
-    pi_wv = oblique_projection(W, V, tol)
+    pi_wv = oblique_projection(W, V)
     F = gamma.moment_matrix()
     eps = spectral_norm(F - pi_wv)
     s_nu_root = psd_sqrt(measure_frame_operator(nu))
@@ -101,7 +101,7 @@ def consistency_conversions(report: ApproxDualReport, b_nu: float,
     """
     _require_frame(nu, V, tol, "the sampling measure")
     to_consistency = float(np.sqrt(b_nu) * report.epsilon_residual)
-    dual_map, _ = dual_operator(measure_frame_operator(nu), W, V, tol)
+    dual_map, _ = dual_operator(measure_frame_operator(nu), W, V)
     m2 = second_moment(linear_pushforward(nu, dual_map))
     to_approx = float(report.consistency_bound * np.sqrt(m2))
     if report.consistency_bound > to_consistency + 1e-9:
@@ -127,13 +127,13 @@ class _ExactDual:
         ok, resid = is_oblique_dual_measure(mu, nu, gamma_dual, tol)
         if not ok:
             raise NotADual(f"dual certificate residual {resid:.3e} too large")
-        W = support_span(mu, tol)
-        V = support_span(nu, tol)
+        W = support_span(mu)
+        V = support_span(nu)
         return cls(
             gamma_dual=gamma_dual,
             c_upper=_require_frame(mu, W, tol, "the measure")[1],
             a_opt=_require_frame(nu, V, tol, "the dual measure")[0],
-            pi_wv=oblique_projection(W, V, tol),
+            pi_wv=oblique_projection(W, V),
         )
 
     def perturbation(self, eta: DiscreteMeasure, gamma_pert: Coupling,

@@ -14,7 +14,7 @@ from . import approx as approx_mod
 from . import duality, frames, measures, potentials, transport
 from .errors import (FrameError, HypothesisViolated, InternalConsistencyError,
                      NonConvergence)
-from .linalg import Tolerance, tight_and_parseval
+from .linalg import DEFAULT_TOL, Tolerance, tight_and_parseval
 from .serialize import (
     coupling_to_obj,
     dumps_canonical,
@@ -30,10 +30,6 @@ EXIT_VALIDATION = 2
 EXIT_HYPOTHESIS = 3
 EXIT_NONCONVERGENCE = 4
 EXIT_INTERNAL = 5
-
-
-def _tol(args) -> Tolerance:
-    return Tolerance(eq_tol=args.tol) if args.tol is not None else Tolerance()
 
 
 def _emit(args, report: dict):
@@ -56,10 +52,9 @@ def _potential_obj(rep: potentials.PotentialReport) -> dict:
 
 
 def cmd_frame_info(args):
-    tol = _tol(args)
-    frame = parse_fixture(args.frame, "frame", tol)
-    lo, hi = frames.frame_bounds(frame, tol)
-    tight, parseval = tight_and_parseval(lo, hi, tol)
+    frame = parse_fixture(args.frame, "frame", args.tol)
+    lo, hi = frames.frame_bounds(frame)
+    tight, parseval = tight_and_parseval(lo, hi, args.tol)
     _emit(args, {
         "ambient_dim": frame.subspace.ambient_dim,
         "num_vectors": len(frame),
@@ -73,33 +68,29 @@ def cmd_frame_info(args):
 
 
 def cmd_oblique_dual(args):
-    tol = _tol(args)
-    frame = parse_fixture(args.frame, "frame", tol)
-    V = parse_fixture(args.sampling_subspace, "subspace", tol)
-    pair = frames.canonical_oblique_dual(frame, V, tol)
+    frame = parse_fixture(args.frame, "frame", args.tol)
+    V = parse_fixture(args.sampling_subspace, "subspace")
+    pair = frames.canonical_oblique_dual(frame, V, args.tol)
     _emit(args, pair_to_obj(pair))
 
 
 def cmd_check_dual(args):
-    tol = _tol(args)
-    pair = parse_fixture(args.pair, "pair", tol)
-    ok, resid = frames.is_oblique_dual(pair.synthesis, pair.analysis, tol)
+    pair = parse_fixture(args.pair, "pair", args.tol)
+    ok, resid = frames.is_oblique_dual(pair.synthesis, pair.analysis, args.tol)
     _emit(args, {"is_dual": ok, "residual": resid})
 
 
 def cmd_potential(args):
-    tol = _tol(args)
-    pair = parse_fixture(args.pair, "pair", tol)
+    pair = parse_fixture(args.pair, "pair", args.tol)
     op = potentials.diagonal_potential if args.diagonal \
         else potentials.dual_p_potential
-    _emit(args, _potential_obj(op(pair, args.p, tol)))
+    _emit(args, _potential_obj(op(pair, args.p, args.tol)))
 
 
 def cmd_coherence(args):
-    tol = _tol(args)
-    pair = parse_fixture(args.pair, "pair", tol)
-    rep = potentials.mixed_coherence(pair, tol)
-    G, Q = potentials.mixed_gram(pair, tol)
+    pair = parse_fixture(args.pair, "pair", args.tol)
+    rep = potentials.mixed_coherence(pair, args.tol)
+    G, Q = potentials.mixed_gram(pair, args.tol)
     _emit(args, {
         "max_off_diagonal_sq": rep.max_off_diagonal_sq,
         "welch_bound": rep.welch_bound,
@@ -111,9 +102,8 @@ def cmd_coherence(args):
 
 
 def cmd_etf_lift(args):
-    tol = _tol(args)
-    frame = parse_fixture(args.frame, "frame", tol)
-    psi, is_etf = potentials.etf_lift(frame, tol)
+    frame = parse_fixture(args.frame, "frame", args.tol)
+    psi, is_etf = potentials.etf_lift(frame, args.tol)
     _emit(args, {
         "lifted": frame_to_obj(psi),
         "is_equiangular_tight": is_etf,
@@ -121,9 +111,8 @@ def cmd_etf_lift(args):
 
 
 def cmd_minimize(args):
-    tol = _tol(args)
-    frame = parse_fixture(args.frame, "frame", tol)
-    V = parse_fixture(args.sampling_subspace, "subspace", tol)
+    frame = parse_fixture(args.frame, "frame", args.tol)
+    V = parse_fixture(args.sampling_subspace, "subspace")
     opts = potentials.OptimizerOptions(
         step_size=args.step_size,
         max_iters=args.max_iters,
@@ -131,7 +120,7 @@ def cmd_minimize(args):
         seed=args.seed,
     )
     pair, trajectory = potentials.minimize_dual_potential(frame, V, args.p,
-                                                          opts, tol)
+                                                          opts, args.tol)
     _emit(args, {
         "pair": pair_to_obj(pair),
         "trajectory": [float(v) for v in trajectory],
@@ -140,10 +129,9 @@ def cmd_minimize(args):
 
 
 def cmd_pf_classify(args):
-    tol = _tol(args)
-    mu = parse_fixture(args.measure, "measure", tol)
-    W = parse_fixture(args.subspace, "subspace", tol)
-    rep = measures.classify_probabilistic_frame(mu, W, tol)
+    mu = parse_fixture(args.measure, "measure")
+    W = parse_fixture(args.subspace, "subspace")
+    rep = measures.classify_probabilistic_frame(mu, W, args.tol)
     _emit(args, {
         "second_moment": rep.second_moment,
         "frame_operator": rep.frame_operator.tolist(),
@@ -155,11 +143,10 @@ def cmd_pf_classify(args):
 
 
 def cmd_pf_dual(args):
-    tol = _tol(args)
-    mu = parse_fixture(args.measure, "measure", tol)
-    W = parse_fixture(args.synthesis_subspace, "subspace", tol)
-    V = parse_fixture(args.sampling_subspace, "subspace", tol)
-    nu, gamma = duality.canonical_dual_measure(mu, W, V, tol)
+    mu = parse_fixture(args.measure, "measure")
+    W = parse_fixture(args.synthesis_subspace, "subspace")
+    V = parse_fixture(args.sampling_subspace, "subspace")
+    nu, gamma = duality.canonical_dual_measure(mu, W, V, args.tol)
     _emit(args, {
         "dual": measure_to_obj(nu),
         "coupling": coupling_to_obj(gamma),
@@ -167,31 +154,28 @@ def cmd_pf_dual(args):
 
 
 def cmd_pf_check(args):
-    tol = _tol(args)
-    mu = parse_fixture(args.mu, "measure", tol)
-    nu = parse_fixture(args.nu, "measure", tol)
-    gamma = parse_fixture(args.coupling, "coupling", tol)
-    ok, resid = duality.is_oblique_dual_measure(mu, nu, gamma, tol)
+    mu = parse_fixture(args.mu, "measure")
+    nu = parse_fixture(args.nu, "measure")
+    gamma = parse_fixture(args.coupling, "coupling")
+    ok, resid = duality.is_oblique_dual_measure(mu, nu, gamma, args.tol)
     _emit(args, {"is_dual": ok, "residual": resid})
 
 
 def cmd_pf_potential(args):
-    tol = _tol(args)
-    mu = parse_fixture(args.mu, "measure", tol)
-    nu = parse_fixture(args.nu, "measure", tol)
-    W = duality.support_span(mu, tol)
-    bounds = duality._require_frame(mu, W, tol, "the first measure")
+    mu = parse_fixture(args.mu, "measure")
+    nu = parse_fixture(args.nu, "measure")
+    W = duality.support_span(mu)
+    bounds = duality._require_frame(mu, W, args.tol, "the first measure")
     gamma = None
     if args.coupling:
-        gamma = parse_fixture(args.coupling, "coupling", tol)
-    rep = duality.pf_dual_potential(mu, nu, args.mode, bounds, gamma, tol)
+        gamma = parse_fixture(args.coupling, "coupling")
+    rep = duality.pf_dual_potential(mu, nu, args.mode, bounds, gamma, args.tol)
     _emit(args, _potential_obj(rep))
 
 
 def cmd_w2(args):
-    tol = _tol(args)
-    mu = parse_fixture(args.mu, "measure", tol)
-    nu = parse_fixture(args.nu, "measure", tol)
+    mu = parse_fixture(args.mu, "measure")
+    nu = parse_fixture(args.nu, "measure")
     dist, gamma, cert = transport.exact_w2(mu, nu)
     _emit(args, {
         "distance": dist,
@@ -205,21 +189,19 @@ def cmd_w2(args):
 
 
 def cmd_glue(args):
-    tol = _tol(args)
-    g12 = parse_fixture(args.coupling_xy, "coupling", tol)
-    g23 = parse_fixture(args.coupling_yz, "coupling", tol)
+    g12 = parse_fixture(args.coupling_xy, "coupling")
+    g23 = parse_fixture(args.coupling_yz, "coupling")
     tri = transport.glue(g12, g23)
     _emit(args, tricoupling_to_obj(tri))
 
 
 def cmd_approx_check(args):
-    tol = _tol(args)
-    mu = parse_fixture(args.mu, "measure", tol)
-    nu = parse_fixture(args.nu, "measure", tol)
-    gamma = parse_fixture(args.coupling, "coupling", tol)
-    W = parse_fixture(args.synthesis_subspace, "subspace", tol)
-    V = parse_fixture(args.sampling_subspace, "subspace", tol)
-    rep = approx_mod.approx_dual_residual(mu, nu, gamma, W, V, tol)
+    mu = parse_fixture(args.mu, "measure")
+    nu = parse_fixture(args.nu, "measure")
+    gamma = parse_fixture(args.coupling, "coupling")
+    W = parse_fixture(args.synthesis_subspace, "subspace")
+    V = parse_fixture(args.sampling_subspace, "subspace")
+    rep = approx_mod.approx_dual_residual(mu, nu, gamma, W, V)
     _emit(args, {
         "epsilon_residual": rep.epsilon_residual,
         "consistency_bound": rep.consistency_bound,
@@ -227,14 +209,13 @@ def cmd_approx_check(args):
 
 
 def cmd_perturb(args):
-    tol = _tol(args)
-    mu = parse_fixture(args.mu, "measure", tol)
-    nu = parse_fixture(args.nu, "measure", tol)
-    gamma_dual = parse_fixture(args.dual_coupling, "coupling", tol)
-    eta = parse_fixture(args.eta, "measure", tol)
-    gamma_pert = parse_fixture(args.perturbation_coupling, "coupling", tol)
-    cert = approx_mod.perturbation_certificate(mu, nu, gamma_dual, eta,
-                                               gamma_pert, args.eps, tol=tol)
+    mu = parse_fixture(args.mu, "measure")
+    nu = parse_fixture(args.nu, "measure")
+    gamma_dual = parse_fixture(args.dual_coupling, "coupling")
+    eta = parse_fixture(args.eta, "measure")
+    gamma_pert = parse_fixture(args.perturbation_coupling, "coupling")
+    cert = approx_mod.perturbation_certificate(
+        mu, nu, gamma_dual, eta, gamma_pert, args.eps, tol=args.tol)
     _emit(args, {
         "lambda": cert.lam,
         "a_lower": cert.a_lower,
@@ -258,12 +239,11 @@ def write_interiority_csv(path: str, summary: approx_mod.InteriorityReport):
 
 
 def cmd_interiority(args):
-    tol = _tol(args)
-    mu = parse_fixture(args.measure, "measure", tol)
-    W = parse_fixture(args.synthesis_subspace, "subspace", tol)
-    V = parse_fixture(args.sampling_subspace, "subspace", tol)
-    summary = approx_mod.interiority_experiment(mu, W, V, args.eps,
-                                                args.trials, args.seed, tol)
+    mu = parse_fixture(args.measure, "measure")
+    W = parse_fixture(args.synthesis_subspace, "subspace")
+    V = parse_fixture(args.sampling_subspace, "subspace")
+    summary = approx_mod.interiority_experiment(
+        mu, W, V, args.eps, args.trials, args.seed, args.tol)
     if args.csv:
         write_interiority_csv(args.csv, summary)
     _emit(args, {
@@ -287,6 +267,18 @@ def _nonnegative(kind):
     return parse
 
 
+def _tolerance(text: str) -> Tolerance:
+    """argparse type: the one Tolerance of a call, eq_tol finite and > 0."""
+    value = float(text)
+    try:
+        return Tolerance(eq_tol=value)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
+_tolerance.__name__ = "float"  # argparse names it in "invalid float value"
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="obliqueframes",
@@ -294,8 +286,8 @@ def build_parser() -> argparse.ArgumentParser:
                     "transport-based duality certificates.",
     )
     parser.add_argument("--out", help="write the JSON report here instead of stdout")
-    parser.add_argument("--tol", type=float, default=None,
-                        help="override the operator-equality tolerance "
+    parser.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL,
+                        help="operator-equality tolerance, finite and > 0 "
                              "(default 1e-9)")
     sub = parser.add_subparsers(dest="verb", required=True)
 

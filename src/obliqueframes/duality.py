@@ -33,11 +33,13 @@ from .linalg import (
     oblique_projection,
     orthonormal_basis,
     spectral_norm,
+    tight_and_parseval,
 )
 from .measures import (
     DiscreteMeasure,
     classify_probabilistic_frame,
     is_marginal,
+    linear_pushforward,
     measure_frame_operator,
     pushforward,
     weak_equal,
@@ -46,9 +48,9 @@ from .potentials import SATURATION_TOL, PotentialReport
 from .transport import Coupling, graph_coupling
 
 
-def support_span(mu: DiscreteMeasure, tol: Tolerance = DEFAULT_TOL) -> Subspace:
+def support_span(mu: DiscreteMeasure) -> Subspace:
     """Span of the positively weighted atoms."""
-    return orthonormal_basis(list(mu.support()), tol)
+    return orthonormal_basis(list(mu.support()))
 
 
 def _require_frame(mu: DiscreteMeasure, W: Subspace, tol: Tolerance,
@@ -73,7 +75,7 @@ def canonical_dual_map(mu: DiscreteMeasure, W: Subspace, V: Subspace,
     """Matrix of the canonical dual map: oblique projection onto V composed
     with the pseudoinverse moment matrix."""
     _require_frame(mu, W, tol, "the measure")
-    return dual_operator(measure_frame_operator(mu), V, W, tol)[0]
+    return dual_operator(measure_frame_operator(mu), V, W)[0]
 
 
 def canonical_dual_measure(mu: DiscreteMeasure, W: Subspace, V: Subspace,
@@ -95,9 +97,9 @@ def is_oblique_dual_measure(mu: DiscreteMeasure, nu: DiscreteMeasure,
     projection.
     """
     _validate_coupling(gamma, mu, nu)
-    W = support_span(mu, tol)
-    V = support_span(nu, tol)
-    pi_wv = oblique_projection(W, V, tol)
+    W = support_span(mu)
+    V = support_span(nu)
+    pi_wv = oblique_projection(W, V)
     residual = spectral_norm(gamma.moment_matrix() - pi_wv)
     return residual <= tol.eq_tol, float(residual)
 
@@ -114,7 +116,7 @@ def pushforward_dual_map(mu: DiscreteMeasure, W: Subspace, V: Subspace, h,
     if k is not None:
         raise RangeViolation(f"h leaves the sampling subspace at atom {k}")
     _require_frame(mu, W, tol, "the measure")
-    T0, s_pinv = dual_operator(measure_frame_operator(mu), V, W, tol)
+    T0, s_pinv = dual_operator(measure_frame_operator(mu), V, W)
     # Correction matrix sum_k w_k h(x_k) x_k^T applied through S^+.
     corr = np.einsum("k,ki,kj->ij", mu.weights, H, mu.points) @ s_pinv
 
@@ -134,7 +136,7 @@ def transfer_dual_to_K(nu: DiscreteMeasure, gamma: Coupling, W: Subspace,
     pw = W.basis @ W.basis.T
     if spectral_norm(moment @ pw - pw) > tol.eq_tol:
         raise NotADual("the coupling does not reconstruct the synthesis subspace")
-    pi_kw = oblique_projection(K, W, tol)
+    pi_kw = oblique_projection(K, W)
     nu_k = pushforward(nu, lambda y: pi_kw @ y)
     gamma_k = Coupling(
         gamma.x,
@@ -147,8 +149,7 @@ def transfer_dual_to_K(nu: DiscreteMeasure, gamma: Coupling, W: Subspace,
 
 
 def probabilistic_consistency_check(mu: DiscreteMeasure, nu: DiscreteMeasure,
-                                    gamma: Coupling, probes,
-                                    tol: Tolerance = DEFAULT_TOL) -> float:
+                                    gamma: Coupling, probes) -> float:
     """Worst sampling discrepancy of coupling-based reconstruction.
 
     For each probe f the reconstruction is synthesized through the
@@ -174,7 +175,8 @@ def pf_dual_potential(mu: DiscreteMeasure, nu: DiscreteMeasure, mode: str,
     """Dual potential of a measure pair with the applicable lower bound.
 
     mode 'pushforward' uses the dimension bound (tightness-free); mode
-    'general' uses the (A/B)-weighted bound for a frame with bounds A, B.
+    'general' uses the (A/B)-weighted bound for a frame with bounds
+    (A, B) = bounds_of_mu, which also decide whether mu is tight.
     When a coupling certificate is supplied it is verified first.
     """
     if mode not in ("pushforward", "general"):
@@ -183,8 +185,8 @@ def pf_dual_potential(mu: DiscreteMeasure, nu: DiscreteMeasure, mode: str,
         ok, resid = is_oblique_dual_measure(mu, nu, coupling, tol)
         if not ok:
             raise NotADual(f"certificate residual {resid:.3e} too large")
-    W = support_span(mu, tol)
-    V = support_span(nu, tol)
+    W = support_span(mu)
+    V = support_span(nu)
     d = W.dim
     s_mu = measure_frame_operator(mu)
     s_nu = measure_frame_operator(nu)
@@ -196,9 +198,9 @@ def pf_dual_potential(mu: DiscreteMeasure, nu: DiscreteMeasure, mode: str,
         saturated = value - lower <= SATURATION_TOL
     else:
         lower = float(lo / hi * d)
-        report = classify_probabilistic_frame(mu, W, tol)
-        canonical, _ = canonical_dual_measure(mu, W, V, tol)
-        saturated = bool(report.is_tight and weak_equal(nu, canonical))
+        tight, _ = tight_and_parseval(lo, hi, tol)
+        canonical = linear_pushforward(mu, dual_operator(s_mu, V, W)[0])
+        saturated = bool(tight and weak_equal(nu, canonical))
     return PotentialReport(p=2.0, value=value, lower_bound=lower,
                            gap=value - lower, saturated=saturated)
 
@@ -215,7 +217,7 @@ def minimal_energy_coefficients(mu: DiscreteMeasure, W: Subspace, V: Subspace,
     f = np.asarray(f, dtype=float)
     T = canonical_dual_map(mu, W, V, tol)
     omega = mu.points @ (T.T @ f)
-    pi_wv = oblique_projection(W, V, tol)
+    pi_wv = oblique_projection(W, V)
     synth = np.einsum("k,ki->i", mu.weights * omega, mu.points)
     target = pi_wv @ f
     if np.linalg.norm(synth - target) > tol.eq_tol * (1.0 + np.linalg.norm(f)):

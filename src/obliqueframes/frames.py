@@ -54,7 +54,7 @@ class FiniteFrame:
         i = subspace.first_outside(frame.vectors, tol.eq_tol)
         if i is not None:
             raise NotAFrame(f"vector {i} lies outside the claimed subspace")
-        _, rank = restricted_spectrum(frame_operator(frame), subspace, tol)
+        _, rank = restricted_spectrum(frame_operator(frame), subspace)
         if rank != subspace.dim:
             raise NotAFrame(
                 f"vectors span a {rank}-dimensional space, "
@@ -92,18 +92,17 @@ def frame_operator(F: FiniteFrame) -> np.ndarray:
     return F.matrix @ F.matrix.T
 
 
-def frame_bounds(F: FiniteFrame, tol: Tolerance = DEFAULT_TOL) -> tuple[float, float]:
+def frame_bounds(F: FiniteFrame) -> tuple[float, float]:
     """Extreme eigenvalues of the frame operator restricted to the span."""
-    vals, rank = restricted_spectrum(frame_operator(F), F.subspace, tol)
+    vals, rank = restricted_spectrum(frame_operator(F), F.subspace)
     if rank != F.subspace.dim:
         raise NotAFrame("lower frame bound vanishes: the family is span-deficient")
     return float(vals[0]), float(vals[-1])
 
 
-def dual_residual(synthesis: FiniteFrame, analysis: FiniteFrame,
-                  tol: Tolerance = DEFAULT_TOL) -> float:
+def dual_residual(synthesis: FiniteFrame, analysis: FiniteFrame) -> float:
     """Spectral norm of sum_i w_i v_i^T minus the oblique projection."""
-    pi = oblique_projection(synthesis.subspace, analysis.subspace, tol)
+    pi = oblique_projection(synthesis.subspace, analysis.subspace)
     mixed = synthesis.matrix @ analysis.vectors
     return spectral_norm(mixed - pi)
 
@@ -115,7 +114,7 @@ def is_oblique_dual(Fw: FiniteFrame, Fv: FiniteFrame,
         raise DimensionMismatch(
             f"frame lengths differ: {len(Fw)} vs {len(Fv)}"
         )
-    resid = dual_residual(Fw, Fv, tol)
+    resid = dual_residual(Fw, Fv)
     return resid <= tol.eq_tol, resid
 
 
@@ -125,7 +124,7 @@ def _dual_pair(F: FiniteFrame, analysis_vecs: np.ndarray, V: Subspace,
     return ObliqueDualPair(
         analysis=analysis,
         synthesis=F,
-        residual=dual_residual(F, analysis, tol),
+        residual=dual_residual(F, analysis),
     )
 
 
@@ -133,7 +132,7 @@ def canonical_oblique_dual(F: FiniteFrame, V: Subspace,
                            tol: Tolerance = DEFAULT_TOL) -> ObliqueDualPair:
     """The minimal-energy oblique dual: v_j is the oblique projection onto
     V of the pseudoinverse frame operator applied to w_j."""
-    T, _ = dual_operator(frame_operator(F), V, F.subspace, tol)
+    T, _ = dual_operator(frame_operator(F), V, F.subspace)
     return _dual_pair(F, (T @ F.matrix).T, V, tol)
 
 
@@ -155,8 +154,8 @@ class _FamilyGeometry:
     Q: np.ndarray          # (N, N)
 
     @classmethod
-    def build(cls, F: FiniteFrame, V: Subspace, tol: Tolerance) -> "_FamilyGeometry":
-        T, s_pinv = dual_operator(frame_operator(F), V, F.subspace, tol)
+    def build(cls, F: FiniteFrame, V: Subspace) -> "_FamilyGeometry":
+        T, s_pinv = dual_operator(frame_operator(F), V, F.subspace)
         canonical = T @ F.matrix
         gram = F.matrix.T @ s_pinv @ F.matrix
         return cls(
@@ -191,7 +190,7 @@ def oblique_dual_family(F: FiniteFrame, V: Subspace, H,
     i = V.first_outside(Hm, tol.eq_tol)
     if i is not None:
         raise RangeViolation(f"parameter vector {i} lies outside V")
-    return _FamilyGeometry.build(F, V, tol).pair(Hm.T, tol)
+    return _FamilyGeometry.build(F, V).pair(Hm.T, tol)
 
 
 def reconstruct(f, pair: ObliqueDualPair) -> tuple[np.ndarray, float]:

@@ -20,24 +20,27 @@ ORTH_TOL = 1e-10
 
 @dataclass(frozen=True)
 class Tolerance:
-    """Numerical cutoffs used throughout the library.
+    """The user tolerance the library certifies its identities against.
 
-    eq_tol: absolute residual tolerance for operator-equality checks.
-    Rank decisions use the relative cutoff max(n_rows, n_cols) * machine
-    epsilon of rank_cutoff.
+    eq_tol: absolute residual tolerance for operator-equality checks,
+    finite and positive.  Rank decisions do not read it: they use the
+    fixed float-precision rule of rank_cutoff.
     """
 
     eq_tol: float = 1e-9
 
     def __post_init__(self):
-        if not self.eq_tol > 0:
-            raise ValueError("eq_tol must be positive")
-
-    def rank_cutoff(self, shape) -> float:
-        return max(shape) * float(np.finfo(float).eps)
+        if not 0 < self.eq_tol < np.inf:
+            raise ValueError(
+                f"eq_tol must be finite and positive, got {self.eq_tol}")
 
 
 DEFAULT_TOL = Tolerance()
+
+
+def rank_cutoff(shape) -> float:
+    """Relative rank cutoff max(n_rows, n_cols) * machine epsilon."""
+    return max(shape) * float(np.finfo(float).eps)
 
 
 def _as_float_array(a, name: str) -> np.ndarray:
@@ -93,7 +96,7 @@ class Subspace:
         return self.basis @ (self.basis.T @ np.asarray(x, dtype=float))
 
 
-def orthonormal_basis(vectors, tol: Tolerance = DEFAULT_TOL) -> Subspace:
+def orthonormal_basis(vectors) -> Subspace:
     """Orthonormal basis of span{vectors} with SVD rank truncation.
 
     Raises AllZero when every vector is numerically zero.
@@ -103,25 +106,24 @@ def orthonormal_basis(vectors, tol: Tolerance = DEFAULT_TOL) -> Subspace:
     u, s, _ = np.linalg.svd(X, full_matrices=False)
     if s.size == 0 or s[0] <= 0.0:
         raise AllZero("cannot span a subspace with all-zero vectors")
-    rank = int(np.sum(s > tol.rank_cutoff(X.shape) * s[0]))
+    rank = int(np.sum(s > rank_cutoff(X.shape) * s[0]))
     return Subspace(ambient_dim=X.shape[0], basis=u[:, :rank])
 
 
-def pseudoinverse(M, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
+def pseudoinverse(M) -> np.ndarray:
     """Moore-Penrose inverse with singular values below the cutoff zeroed."""
     M = _as_float_array(M, "matrix")
-    return np.linalg.pinv(M, rcond=tol.rank_cutoff(M.shape))
+    return np.linalg.pinv(M, rcond=rank_cutoff(M.shape))
 
 
-def restricted_spectrum(S, W: Subspace,
-                        tol: Tolerance = DEFAULT_TOL) -> tuple[np.ndarray, int]:
+def restricted_spectrum(S, W: Subspace) -> tuple[np.ndarray, int]:
     """The one frame test: ascending eigenvalues of S restricted to W and
     the rank of S on W, counting eigenvalues above the cutoff pseudoinverse
     applies to the n x n S.  S spans W (rank dim W) exactly when S^+ keeps
     full rank on W, and the extreme eigenvalues are then the frame bounds."""
     vals = np.linalg.eigvalsh(W.basis.T @ S @ W.basis)
     n = W.ambient_dim
-    rank = int(np.sum(vals > tol.rank_cutoff((n, n)) * vals[-1])) \
+    rank = int(np.sum(vals > rank_cutoff((n, n)) * vals[-1])) \
         if vals[-1] > 0 else 0
     return vals, rank
 
@@ -151,13 +153,13 @@ def orthogonal_projection(W: Subspace) -> np.ndarray:
     return W.basis @ W.basis.T
 
 
-def oblique_projection(W: Subspace, V: Subspace,
-                       tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
+def oblique_projection(W: Subspace, V: Subspace) -> np.ndarray:
     """Projection onto W that annihilates the orthogonal complement of V.
 
     Well defined exactly when the ambient space is the direct sum of W and
-    V-perp; equivalently both subspace angle cosines are positive and the
-    dimensions agree.  Raises DirectSumViolation otherwise.
+    V-perp; equivalently the dimensions agree and the subspace angle cosine
+    is positive (with equal dimensions it is the same from W into V as from
+    V into W).  Raises DirectSumViolation otherwise.
     """
     if W.ambient_dim != V.ambient_dim:
         raise DimensionMismatch("subspaces live in different ambient spaces")
@@ -165,26 +167,21 @@ def oblique_projection(W: Subspace, V: Subspace,
         raise DirectSumViolation(
             f"dim W = {W.dim} differs from dim V = {V.dim}"
         )
-    cut = tol.rank_cutoff((W.ambient_dim, W.ambient_dim))
-    c_wv = subspace_angle_cos(W, V)
-    c_vw = subspace_angle_cos(V, W)
-    if c_wv <= cut or c_vw <= cut:
-        raise DirectSumViolation(
-            f"subspace angle cosines {c_wv:.3e}, {c_vw:.3e} too small"
-        )
+    c = subspace_angle_cos(W, V)
+    if c <= rank_cutoff((W.ambient_dim, W.ambient_dim)):
+        raise DirectSumViolation(f"subspace angle cosine {c:.3e} too small")
     G = V.basis.T @ W.basis
     return W.basis @ np.linalg.solve(G, V.basis.T)
 
 
-def dual_operator(S, W: Subspace, V: Subspace,
-                  tol: Tolerance) -> tuple[np.ndarray, np.ndarray]:
+def dual_operator(S, W: Subspace, V: Subspace) -> tuple[np.ndarray, np.ndarray]:
     """The canonical dual operator oblique_projection(W, V) @ S^+ and S^+.
 
     S is a frame operator (or measure moment matrix) whose range is V; the
     operator maps each frame vector or atom to its canonical dual on W.
     """
-    pi = oblique_projection(W, V, tol)
-    s_pinv = pseudoinverse(S, tol)
+    pi = oblique_projection(W, V)
+    s_pinv = pseudoinverse(S)
     return pi @ s_pinv, s_pinv
 
 
@@ -209,10 +206,10 @@ def psd_sqrt(M) -> np.ndarray:
     return (vecs * np.sqrt(vals)) @ vecs.T
 
 
-def psd_pinv_sqrt(M, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
+def psd_pinv_sqrt(M) -> np.ndarray:
     """Square root of the pseudoinverse of a PSD matrix."""
     M = _as_float_array(M, "matrix")
     vals, vecs = np.linalg.eigh(0.5 * (M + M.T))
-    cutoff = tol.rank_cutoff(M.shape) * max(np.max(np.abs(vals)), 0.0)
+    cutoff = rank_cutoff(M.shape) * max(np.max(np.abs(vals)), 0.0)
     inv = np.where(vals > cutoff, 1.0 / np.where(vals > cutoff, vals, 1.0), 0.0)
     return (vecs * np.sqrt(inv)) @ vecs.T

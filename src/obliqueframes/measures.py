@@ -190,7 +190,7 @@ def classify_probabilistic_frame(mu: DiscreteMeasure, W: Subspace,
     if k is not None:
         raise SupportOutsideSubspace(f"atom {k} lies outside the claimed subspace")
     S = measure_frame_operator(mu)
-    vals, rank = restricted_spectrum(S, W, tol)
+    vals, rank = restricted_spectrum(S, W)
     lo, hi = float(vals[0]), float(vals[-1])
     is_frame = rank == W.dim
     is_tight, is_parseval = tight_and_parseval(lo, hi, tol) if is_frame \

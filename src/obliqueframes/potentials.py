@@ -198,7 +198,7 @@ def etf_lift(F: FiniteFrame,
     """
     N = len(F)
     d = F.subspace.dim
-    root = psd_pinv_sqrt(frame_operator(F), tol)
+    root = psd_pinv_sqrt(frame_operator(F))
     lifted = (np.sqrt(N / d) * root @ F.matrix).T
     psi = FiniteFrame.create(lifted, F.subspace, tol)
 
@@ -227,17 +227,24 @@ class OptimizerOptions:
     grad_tol: float = 1e-7
     seed: int = 0
 
+    def __post_init__(self):
+        if not 0 < self.step_size < np.inf:
+            raise ValueError(
+                f"step_size must be finite and > 0, got {self.step_size}")
+        if not 0 <= self.grad_tol < np.inf:
+            raise ValueError(
+                f"grad_tol must be finite and >= 0, got {self.grad_tol}")
 
-def potential_objective(F: FiniteFrame, V: Subspace, C, p: float = 2.0,
-                        tol: Tolerance = DEFAULT_TOL) -> float:
+
+def potential_objective(F: FiniteFrame, V: Subspace, C, p: float = 2.0) -> float:
     """Dual p-potential of the family with coefficient matrix C on V."""
-    return _value(_FamilyGeometry.build(F, V, tol), np.asarray(C, float), p)
+    return _value(_FamilyGeometry.build(F, V), np.asarray(C, float), p)
 
 
-def potential_gradient(F: FiniteFrame, V: Subspace, C, p: float = 2.0,
-                       tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
+def potential_gradient(F: FiniteFrame, V: Subspace, C,
+                       p: float = 2.0) -> np.ndarray:
     """Analytic gradient of potential_objective with respect to C."""
-    geom = _FamilyGeometry.build(F, V, tol)
+    geom = _FamilyGeometry.build(F, V)
     return _gradient(geom, np.asarray(C, float), p)
 
 
@@ -270,7 +277,7 @@ def minimize_dual_potential(
     """
     if not _is_even_order(p):
         raise ValueError("minimization is defined for even potential orders")
-    geom = _FamilyGeometry.build(F, V, tol)
+    geom = _FamilyGeometry.build(F, V)
     rng = np.random.default_rng(opts.seed)
     C = INIT_SCALE * rng.standard_normal((V.dim, len(F)))
 

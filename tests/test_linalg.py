@@ -1,3 +1,5 @@
+import inspect
+
 import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
@@ -18,7 +20,11 @@ from obliqueframes import (
     spectral_norm,
     subspace_angle_cos,
 )
-from obliqueframes.linalg import restricted_spectrum
+from obliqueframes.approx import approx_dual_residual
+from obliqueframes.duality import probabilistic_consistency_check, support_span
+from obliqueframes.frames import _FamilyGeometry, dual_residual, frame_bounds
+from obliqueframes.linalg import dual_operator, rank_cutoff, restricted_spectrum
+from obliqueframes.potentials import potential_gradient, potential_objective
 from obliqueframes.gallery import (
     full_space,
     line,
@@ -270,3 +276,29 @@ class TestFrameTestKernel:
         vals, r = restricted_spectrum(np.ones((2, 2)), W)
         assert r == 1 and vals == pytest.approx([2.0])
         assert restricted_spectrum(np.zeros((2, 2)), W)[1] == 0
+
+
+class TestOneTolerance:
+    @pytest.mark.parametrize("eq_tol", [np.inf, np.nan, -np.inf, -1.0])
+    def test_tolerance_must_be_finite_and_positive(self, eq_tol):
+        with pytest.raises(ValueError, match="finite and positive"):
+            Tolerance(eq_tol=eq_tol)
+
+    def test_rank_cutoff_is_the_float_precision_rule(self):
+        assert rank_cutoff((3, 7)) == 7 * np.finfo(float).eps
+        assert not hasattr(Tolerance, "rank_cutoff")
+
+    @pytest.mark.parametrize("func", [
+        orthonormal_basis, pseudoinverse, restricted_spectrum,
+        oblique_projection, dual_operator, psd_pinv_sqrt, frame_bounds,
+        dual_residual, _FamilyGeometry.build, support_span,
+        probabilistic_consistency_check, approx_dual_residual,
+        potential_objective, potential_gradient,
+    ])
+    def test_rank_only_functions_take_no_tolerance(self, func):
+        assert "tol" not in inspect.signature(func).parameters
+
+    def test_direct_sum_violation_names_one_cosine(self):
+        with pytest.raises(DirectSumViolation,
+                           match=r"^subspace angle cosine 0\.000e\+00 too small$"):
+            oblique_projection(line([1.0, 0.0]), line([0.0, 1.0]))

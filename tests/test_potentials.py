@@ -347,3 +347,18 @@ class TestCanonicalCharacterization:
             assert gap <= 1e-6  # quadratic in the distance
         if dist > 1e-3:
             assert gap > 1e-9
+
+
+class TestOptimizerOptionRanges:
+    @pytest.mark.parametrize("step_size", [np.nan, np.inf, 0.0, -1.0])
+    def test_step_size_must_be_finite_and_positive(self, step_size):
+        with pytest.raises(ValueError, match="step_size must be finite and > 0"):
+            OptimizerOptions(step_size=step_size)
+
+    @pytest.mark.parametrize("grad_tol", [np.nan, np.inf, -1.0])
+    def test_grad_tol_must_be_finite_and_nonnegative(self, grad_tol):
+        with pytest.raises(ValueError, match="grad_tol must be finite and >= 0"):
+            OptimizerOptions(grad_tol=grad_tol)
+
+    def test_zero_grad_tol_is_allowed(self):
+        assert OptimizerOptions(grad_tol=0.0).grad_tol == 0.0

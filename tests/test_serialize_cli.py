@@ -469,3 +469,93 @@ class TestArgumentRanges:
         assert run_cli("minimize", frame, plane, "--max-iters", "0",
                        "--grad-tol", "1e6", out=out) == 0
         assert load_report(out)["iterations"] == 0
+
+
+def doubled_mercedes_benz_pair(tmp_path):
+    """The Mercedes-Benz pair with its analysis vectors doubled: residual 1."""
+    with open(fixture("mercedes_benz_pair.json")) as fh:
+        pair = json.load(fh)
+    pair["analysis"]["vectors"] = [[2.0 * v for v in row]
+                                   for row in pair["analysis"]["vectors"]]
+    path = tmp_path / "doubled_pair.json"
+    path.write_text(json.dumps(pair))
+    return str(path)
+
+
+class TestOneTolerance:
+    @pytest.mark.parametrize("value", ["inf", "nan", "0", "-1"])
+    def test_tol_must_be_finite_and_positive(self, tmp_path, capsys, value):
+        with pytest.raises(SystemExit) as exc:
+            run_cli("--tol", value, "check-dual",
+                    doubled_mercedes_benz_pair(tmp_path))
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = [ln for ln in captured.err.splitlines() if "argument --tol:" in ln]
+        assert len(lines) == 1 and "finite and positive" in lines[0]
+
+    def test_infinite_tol_no_longer_certifies_a_non_dual(self, tmp_path, capsys):
+        pair = doubled_mercedes_benz_pair(tmp_path)
+        out = tmp_path / "r.json"
+        assert run_cli("check-dual", pair, out=out) == 0
+        report = load_report(out)
+        assert report["is_dual"] is False and report["residual"] > 0.5
+        with pytest.raises(SystemExit) as exc:
+            run_cli("--tol", "inf", "check-dual", pair)
+        assert exc.value.code == 2
+        assert "is_dual" not in capsys.readouterr().out
+
+    def test_the_parsed_tol_is_the_tolerance(self):
+        from obliqueframes.cli import build_parser
+        from obliqueframes.linalg import DEFAULT_TOL, Tolerance
+
+        parser = build_parser()
+        frame = fixture("mercedes_benz_frame.json")
+        assert parser.parse_args(["frame-info", frame]).tol is DEFAULT_TOL
+        assert parser.parse_args(["--tol", "1e-3", "frame-info", frame]).tol \
+            == Tolerance(eq_tol=1e-3)
+
+    def test_pf_potential_classifies_the_first_measure_once(self, monkeypatch):
+        from obliqueframes import duality, measures
+
+        seen = []
+        classify = measures.classify_probabilistic_frame
+
+        def counting(*args, **kwargs):
+            seen.append(args[0])
+            return classify(*args, **kwargs)
+
+        monkeypatch.setattr(duality, "classify_probabilistic_frame", counting)
+        monkeypatch.setattr(measures, "classify_probabilistic_frame", counting)
+        assert run_cli("pf-potential", fixture("skew_line_mu.json"),
+                       fixture("skew_line_nu.json"), "--mode", "general") == 0
+        assert len(seen) == 1
+
+
+class TestMinimizeRanges:
+    @pytest.mark.parametrize("step_size", ["nan", "inf"])
+    def test_non_finite_step_size_exits_2_at_once(self, step_size):
+        # The backtracking line search never shrinks nan or inf below its
+        # floor, so without the range check this call does not return.
+        src = os.path.dirname(os.path.dirname(obliqueframes.__file__))
+        run = subprocess.run(
+            [sys.executable, "-m", "obliqueframes", "minimize",
+             fixture("mercedes_benz_frame.json"), fixture("plane.json"),
+             "--step-size", step_size, "--max-iters", "50"],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+            text=True, timeout=60)
+        assert run.returncode == 2
+        assert run.stdout == ""
+        assert run.stderr == (
+            f"error: step_size must be finite and > 0, got {step_size}\n")
+
+    @pytest.mark.parametrize("extra,message", [
+        (["--step-size", "0"], "step_size must be finite and > 0, got 0.0"),
+        (["--step-size", "-1"], "step_size must be finite and > 0, got -1.0"),
+        (["--grad-tol", "nan"], "grad_tol must be finite and >= 0, got nan"),
+        (["--grad-tol", "-1"], "grad_tol must be finite and >= 0, got -1.0"),
+    ])
+    def test_out_of_range_settings_exit_2(self, capsys, extra, message):
+        assert run_cli("minimize", fixture("mercedes_benz_frame.json"),
+                       fixture("plane.json"), "--max-iters", "50", *extra) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
