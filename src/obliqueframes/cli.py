@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import sys
 
 from . import approx as approx_mod
@@ -169,7 +170,8 @@ def cmd_pf_potential(args):
     gamma = None
     if args.coupling:
         gamma = parse_fixture(args.coupling, "coupling")
-    rep = duality.pf_dual_potential(mu, nu, args.mode, bounds, gamma, args.tol)
+    rep = duality._pf_dual_potential(mu, nu, W, duality.support_span(nu),
+                                     args.mode, bounds, gamma, args.tol)
     _emit(args, _potential_obj(rep))
 
 
@@ -279,7 +281,10 @@ def _tolerance(text: str) -> Tolerance:
 _tolerance.__name__ = "float"  # argparse names it in "invalid float value"
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process and shared by every call;
+    parsing leaves it unchanged, and callers must not modify it."""
     parser = argparse.ArgumentParser(
         prog="obliqueframes",
         description="Oblique dual frames, probabilistic frames, and "

@@ -96,11 +96,16 @@ def is_oblique_dual_measure(mu: DiscreteMeasure, nu: DiscreteMeasure,
     spectral distance between the coupling's mixed moment and the oblique
     projection.
     """
+    return _dual_certificate(mu, nu, gamma, support_span(mu),
+                             support_span(nu), tol)
+
+
+def _dual_certificate(mu: DiscreteMeasure, nu: DiscreteMeasure,
+                      gamma: Coupling, W: Subspace, V: Subspace,
+                      tol: Tolerance) -> tuple[bool, float]:
+    """is_oblique_dual_measure with the spans W of mu and V of nu given."""
     _validate_coupling(gamma, mu, nu)
-    W = support_span(mu)
-    V = support_span(nu)
-    pi_wv = oblique_projection(W, V)
-    residual = spectral_norm(gamma.moment_matrix() - pi_wv)
+    residual = spectral_norm(gamma.moment_matrix() - oblique_projection(W, V))
     return residual <= tol.eq_tol, float(residual)
 
 
@@ -179,14 +184,22 @@ def pf_dual_potential(mu: DiscreteMeasure, nu: DiscreteMeasure, mode: str,
     (A, B) = bounds_of_mu, which also decide whether mu is tight.
     When a coupling certificate is supplied it is verified first.
     """
+    return _pf_dual_potential(mu, nu, support_span(mu), support_span(nu),
+                              mode, bounds_of_mu, coupling, tol)
+
+
+def _pf_dual_potential(mu: DiscreteMeasure, nu: DiscreteMeasure, W: Subspace,
+                       V: Subspace, mode: str,
+                       bounds_of_mu: tuple[float, float],
+                       coupling: Coupling | None, tol: Tolerance
+                       ) -> PotentialReport:
+    """pf_dual_potential with the spans W of mu and V of nu given."""
     if mode not in ("pushforward", "general"):
         raise ValueError(f"unknown potential mode {mode!r}")
     if coupling is not None:
-        ok, resid = is_oblique_dual_measure(mu, nu, coupling, tol)
+        ok, resid = _dual_certificate(mu, nu, coupling, W, V, tol)
         if not ok:
             raise NotADual(f"certificate residual {resid:.3e} too large")
-    W = support_span(mu)
-    V = support_span(nu)
     d = W.dim
     s_mu = measure_frame_operator(mu)
     s_nu = measure_frame_operator(nu)

@@ -15,8 +15,8 @@ import numpy as np
 from .errors import ParseError
 from .frames import FiniteFrame, ObliqueDualPair
 from .linalg import Subspace, DEFAULT_TOL, Tolerance
-from .measures import DiscreteMeasure, aggregate
-from .transport import Coupling, TriCoupling
+from .measures import DiscreteMeasure
+from .transport import _AGGREGATE, Coupling, TriCoupling
 
 
 def _format_float(x: float) -> str:
@@ -220,7 +220,7 @@ def coupling_from_obj(obj) -> Coupling:
     y = np.array(ys)
     w = np.array(ws)
     try:
-        return Coupling(x, y, w, aggregate(x, w), aggregate(y, w))
+        return Coupling(x, y, w, _AGGREGATE, _AGGREGATE)
     except ValueError as exc:
         raise ParseError(f"invalid coupling: {exc}") from exc
 

@@ -2,8 +2,10 @@
 
 Couplings are finitely supported joint measures with declared marginals,
 validated at construction.  The exact 2-Wasserstein distance is computed
-by a transportation simplex on the dense cost matrix (Bland's entering
-rule for anti-cycling), which certifies optimality through the LP dual.
+by a transportation simplex on the dense cost matrix: Dantzig pricing,
+Bland's rule after a run of degenerate pivots so that it cannot cycle, and
+tree potentials updated on the subtree each pivot cuts off.  Optimality is
+certified through the LP dual, with potentials from a fresh tree walk.
 The gluing construction composes two couplings over a shared marginal.
 """
 from __future__ import annotations
@@ -15,12 +17,20 @@ import numpy as np
 from .errors import (DimensionMismatch, InternalConsistencyError,
                      MarginalMismatch, NonConvergence)
 from .linalg import _as_float_array, _freeze
-from .measures import MARGINAL_TOL, DiscreteMeasure, is_marginal, match_atoms
+from .measures import (MARGINAL_TOL, DiscreteMeasure, aggregate, is_marginal,
+                       match_atoms)
+
+# Placeholder marginal for couplings parsed from pairs alone; see Coupling.
+_AGGREGATE = object()
 
 
 @dataclass(frozen=True)
 class Coupling:
-    """Joint measure on pairs (x, y) with declared marginals."""
+    """Joint measure on pairs (x, y) with declared marginals.
+
+    A marginal passed as _AGGREGATE becomes the aggregate of the coupling's
+    own coordinates, which needs no check.
+    """
 
     x: np.ndarray        # (m, n) first coordinates
     y: np.ndarray        # (m, n) second coordinates
@@ -41,10 +51,13 @@ class Coupling:
         object.__setattr__(self, "x", _freeze(x))
         object.__setattr__(self, "y", _freeze(y))
         object.__setattr__(self, "weights", _freeze(w))
-        if not is_marginal(x, w, self.marginal_x):
-            raise MarginalMismatch("first-coordinate marginal mismatch")
-        if not is_marginal(y, w, self.marginal_y):
-            raise MarginalMismatch("second-coordinate marginal mismatch")
+        for name, coords, side in (("marginal_x", x, "first"),
+                                   ("marginal_y", y, "second")):
+            declared = getattr(self, name)
+            if declared is _AGGREGATE:
+                object.__setattr__(self, name, aggregate(coords, w))
+            elif not is_marginal(coords, w, declared):
+                raise MarginalMismatch(f"{side}-coordinate marginal mismatch")
 
     @property
     def num_pairs(self) -> int:
@@ -108,32 +121,66 @@ def _northwest_corner(supply: np.ndarray, demand: np.ndarray):
     return flows, in_basis
 
 
-def _tree_duals(cost: list[list[float]], in_basis: np.ndarray):
-    """Potentials and parent links of the basis tree, from one DFS at row 0.
-
-    Nodes 0..m-1 are the rows and m..m+k-1 the columns; row 0 is its own
-    parent.  Each potential is its cell's cost minus its tree parent's
-    potential.  Nodes the walk does not reach keep a NaN potential.
-    """
+def _adjacency(in_basis: np.ndarray) -> list[list[int]]:
+    """Neighbour lists of the basis tree: rows 0..m-1, columns m..m+k-1."""
     m, k = in_basis.shape
     adj: list[list[int]] = [[] for _ in range(m + k)]
     rows, cols = np.nonzero(in_basis)
     for i, j in zip(rows.tolist(), cols.tolist()):
         adj[i].append(m + j)
         adj[m + j].append(i)
+    return adj
+
+
+def _tree_duals(cost: list[list[float]], in_basis: np.ndarray):
+    """Row and column potentials of the basis tree, from one DFS at row 0.
+
+    Nodes 0..m-1 are the rows and m..m+k-1 the columns.  Each potential is
+    its cell's cost minus its tree parent's potential, and row 0's is 0.
+    Nodes the walk does not reach keep a NaN potential.
+    """
+    m, k = in_basis.shape
+    adj = _adjacency(in_basis)
     pot = [float("nan")] * (m + k)
-    parent = [-1] * (m + k)
+    seen = [False] * (m + k)
     pot[0] = 0.0
-    parent[0] = 0
+    seen[0] = True
     stack = [0]
     while stack:
         a = stack.pop()
         for b in adj[a]:
-            if parent[b] < 0:
-                parent[b] = a
+            if not seen[b]:
+                seen[b] = True
                 pot[b] = (cost[a][b - m] if a < m else cost[b][a - m]) - pot[a]
                 stack.append(b)
-    return np.array(pot[:m]), np.array(pot[m:]), parent
+    return np.array(pot[:m]), np.array(pot[m:])
+
+
+def _hang(node: int, cost: list[list[float]], adj: list[list[int]],
+          pot: list[float], parent: list[int], depth: list[int]):
+    """Re-derive parent links, depths and potentials below `node`.
+
+    `parent[node]`, `depth[node]` and `pot[node]` must already be set; every
+    other node reachable from `node` without passing its parent is re-hung
+    under it, its potential being its cell's cost minus its new parent's.
+    """
+    m = len(cost)
+    stack = [node]
+    while stack:
+        a = stack.pop()
+        for b in adj[a]:
+            if b != parent[a]:
+                parent[b] = a
+                depth[b] = depth[a] + 1
+                pot[b] = (cost[a][b - m] if a < m else cost[b][a - m]) - pot[a]
+                stack.append(b)
+
+
+# Consecutive degenerate pivots (theta = 0) after which the entering cell is
+# chosen by Bland's least-index rule instead of the most negative reduced
+# cost, until the next pivot that moves flow.  Bland's rule cannot cycle,
+# and every pivot that moves flow lowers the cost, so the simplex terminates.
+DEGENERATE_RUN = 50
 
 
 @dataclass(frozen=True)
@@ -146,11 +193,16 @@ class TransportCertificate:
 def solve_transport(cost: np.ndarray, supply: np.ndarray, demand: np.ndarray):
     """Minimize sum c_ij x_ij over the transportation polytope.
 
-    Bland's least-index entering rule plus a least-index leaving rule keep
-    the simplex from cycling on degenerate instances.  Each pivot walks the
-    basis tree once: the walk's potentials price the cells and its parent
-    links close the entering cycle.  Returns the optimal flows and a
-    duality certificate.
+    The entering cell has the most negative reduced cost (Dantzig's rule);
+    after DEGENERATE_RUN consecutive degenerate pivots it is the least-index
+    improving cell (Bland's rule) until flow moves again.  The leaving cell
+    is the least-index blocking cell of the entering cycle.  The basis tree
+    keeps its adjacency, parent links and depths across pivots; a pivot
+    re-hangs only the subtree that the leaving cell cuts off, under the
+    entering cell, and re-prices that subtree's potentials.  Optimality is
+    certified by one fresh walk of the final tree, whose potentials price
+    every cell again and give the dual gap.  Returns the optimal flows and
+    a duality certificate.
     """
     cost = np.asarray(cost, dtype=float)
     supply = np.asarray(supply, dtype=float).copy()
@@ -162,49 +214,93 @@ def solve_transport(cost: np.ndarray, supply: np.ndarray, demand: np.ndarray):
         raise MarginalMismatch("total supply and demand differ")
 
     flows, in_basis = _northwest_corner(supply, demand)
+    flow = flows.tolist()
     cost_rows = cost.tolist()
     scale = 1e-12 * (1.0 + float(np.max(np.abs(cost))))
+    adj = _adjacency(in_basis)
+    pot = [0.0] * (m + k)
+    parent = [0] * (m + k)
+    depth = [0] * (m + k)
+    _hang(0, cost_rows, adj, pot, parent, depth)
+    reduced = np.empty_like(cost)
 
     iterations = 0
+    degenerate = 0
+    fresh = False
     max_pivots = 200 * (m * k + 10)
     while True:
-        u, v, parent = _tree_duals(cost_rows, in_basis)
-        if np.isnan(u).any() or np.isnan(v).any():
-            raise InternalConsistencyError("basis tree lost connectivity")
-        improving = (cost - u[:, None] - v[None, :] < -scale) & ~in_basis
-        first = int(np.argmax(improving))
-        if not improving.flat[first]:
-            break
+        p = np.array(pot)
+        np.subtract(cost, p[:m, None], out=reduced)
+        reduced -= p[m:]
+        reduced[in_basis] = 0.0
+        if degenerate < DEGENERATE_RUN:
+            first = int(np.argmin(reduced))
+        else:
+            first = int(np.argmax(reduced < -scale))
+        if not reduced.flat[first] < -scale:
+            if fresh:
+                break
+            # Certify with an independent walk of the basis mask.  It
+            # re-derives the potentials that _hang keeps along the same tree
+            # paths, so on a sound tree the two agree bit for bit.
+            u, v = _tree_duals(cost_rows, in_basis)
+            if np.isnan(u).any() or np.isnan(v).any():
+                raise InternalConsistencyError("basis tree lost connectivity")
+            pot = u.tolist() + v.tolist()
+            fresh = True
+            continue
+        fresh = False
         iterations += 1
         if iterations > max_pivots:
             raise NonConvergence("transportation simplex exceeded pivot budget")
-        entering = divmod(first, k)
-        # The cycle runs from the entering column up to the first node it
-        # shares with the entering row's path to the root, then down to the
-        # entering row; its cells alternate +, - starting with the entering one.
-        up = [entering[0]]
-        while up[-1] != 0:
-            up.append(parent[up[-1]])
-        on_up = {node: pos for pos, node in enumerate(up)}
-        path = [m + entering[1]]
-        while path[-1] not in on_up:
-            path.append(parent[path[-1]])
-        path += reversed(up[:on_up[path[-1]]])
-        cycle = [entering] + [(a, b - m) if a < m else (b, a - m)
-                              for a, b in zip(path, path[1:])]
-        minus = cycle[1::2]
-        theta = min(flows[c] for c in minus)
-        leaving = min(c for c in minus if flows[c] <= theta)
-        for idx, c in enumerate(cycle):
-            if idx % 2 == 0:
-                flows[c] += theta
+        i, j = divmod(first, k)
+        # Walk both ends of the entering cell up to their common ancestor.
+        # The cycle runs from column j up to it and down to row i; its cells
+        # alternate -, + after the entering cell's +.  Each tree cell is
+        # named by its lower node.
+        a, b = i, m + j
+        row_side, col_side = [], []
+        while a != b:
+            if depth[a] >= depth[b]:
+                row_side.append(a)
+                a = parent[a]
             else:
-                flows[c] = max(flows[c] - theta, 0.0)
+                col_side.append(b)
+                b = parent[b]
+        lower = col_side + row_side[::-1]
+        cells = [(x, parent[x] - m) if x < m else (parent[x], x - m)
+                 for x in lower]
+        minus = cells[0::2]
+        theta = min(flow[a][b] for a, b in minus)
+        leaving = min(c for c in minus if flow[c[0]][c[1]] <= theta)
+        cut = cells.index(leaving)
+        if theta > 0.0:
+            degenerate = 0
+            flow[i][j] += theta
+            for a, b in cells[1::2]:
+                flow[a][b] += theta
+            for a, b in minus:
+                flow[a][b] = max(flow[a][b] - theta, 0.0)
+        else:
+            degenerate += 1
         in_basis[leaving] = False
-        in_basis[entering] = True
+        in_basis[i, j] = True
+        x = lower[cut]
+        adj[x].remove(parent[x])
+        adj[parent[x]].remove(x)
+        adj[i].append(m + j)
+        adj[m + j].append(i)
+        # The subtree below x holds the entering cell's column when x lies
+        # on the column side; it is re-hung from that end of the cell.
+        top, bottom = (i, m + j) if cut < len(col_side) else (m + j, i)
+        parent[bottom] = top
+        depth[bottom] = depth[top] + 1
+        pot[bottom] = cost_rows[i][j] - pot[top]
+        _hang(bottom, cost_rows, adj, pot, parent, depth)
 
+    flows = np.array(flow)
     primal = float(np.sum(flows * cost))
-    dual = float(np.dot(u, supply) + np.dot(v, demand))
+    dual = float(np.dot(p[:m], supply) + np.dot(p[m:], demand))
     return flows, TransportCertificate(cost=primal,
                                        dual_gap=abs(primal - dual),
                                        iterations=iterations)

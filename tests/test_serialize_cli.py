@@ -330,7 +330,7 @@ class TestCli:
     def test_internal_consistency_error_exits_5(self, monkeypatch, capsys):
         def disconnected(cost, in_basis):
             m, k = in_basis.shape
-            return np.full(m, np.nan), np.full(k, np.nan), [-1] * (m + k)
+            return np.full(m, np.nan), np.full(k, np.nan)
 
         monkeypatch.setattr(transport, "_tree_duals", disconnected)
         assert run_cli("w2", fixture("skew_line_mu.json"),
@@ -530,6 +530,52 @@ class TestOneTolerance:
         assert run_cli("pf-potential", fixture("skew_line_mu.json"),
                        fixture("skew_line_nu.json"), "--mode", "general") == 0
         assert len(seen) == 1
+
+
+class TestWorkDoneOnce:
+    def test_parsed_coupling_aggregates_each_side_once(self, monkeypatch):
+        from obliqueframes import measures
+
+        calls = []
+        match_atoms = measures.match_atoms
+
+        def counting(*args):
+            calls.append(args[0])
+            return match_atoms(*args)
+
+        monkeypatch.setattr(measures, "match_atoms", counting)
+        gamma = parse_fixture(fixture("skew_line_product_coupling.json"),
+                              "coupling")
+        assert len(calls) == 2
+        assert measures.weak_equal(gamma.marginal_x,
+                                   parse_fixture(fixture("skew_line_mu.json"),
+                                                 "measure"))
+
+    def test_pf_potential_spans_each_measure_once(self, monkeypatch):
+        from obliqueframes import duality
+
+        calls = []
+        orthonormal_basis = duality.orthonormal_basis
+
+        def counting(*args):
+            calls.append(args[0])
+            return orthonormal_basis(*args)
+
+        monkeypatch.setattr(duality, "orthonormal_basis", counting)
+        assert run_cli("pf-potential", fixture("skew_line_mu.json"),
+                       fixture("skew_line_nu.json"), "--coupling",
+                       fixture("skew_line_product_coupling.json")) == 0
+        assert len(calls) == 2
+
+    @pytest.mark.parametrize("argv", [["--help"], ["w2"], ["--tol", "0", "w2"],
+                                      ["no-such-verb"]])
+    def test_the_shared_parser_answers_every_call_alike(self, capsys, argv):
+        outputs = []
+        for _ in range(2):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            outputs.append((exc.value.code, capsys.readouterr()))
+        assert outputs[0] == outputs[1]
 
 
 class TestMinimizeRanges:

@@ -95,6 +95,16 @@ def squared_distances(x, y):
     return np.einsum("ijk,ijk->ij", diff, diff)
 
 
+def random_instance(m, dim):
+    """Seeded m x m transport problem: Gaussian atoms in R^dim, random weights."""
+    rng = np.random.default_rng([m, dim])
+    cost = squared_distances(rng.standard_normal((m, dim)),
+                             rng.standard_normal((m, dim)))
+    supply = rng.random(m) + 0.1
+    demand = rng.random(m) + 0.1
+    return cost, supply / supply.sum(), demand / demand.sum()
+
+
 class TestCouplings:
     def test_product_of_diracs(self):
         gamma = product_coupling(dirac([1.0]), dirac([-2.0]))
@@ -223,7 +233,7 @@ class TestExactW2:
     def test_lost_basis_connectivity_is_an_internal_error(self, monkeypatch):
         def disconnected(cost, in_basis):
             m, k = in_basis.shape
-            return np.full(m, np.nan), np.full(k, np.nan), [-1] * (m + k)
+            return np.full(m, np.nan), np.full(k, np.nan)
 
         monkeypatch.setattr(transport, "_tree_duals", disconnected)
         with pytest.raises(InternalConsistencyError, match="connectivity"):
@@ -234,8 +244,8 @@ class TestExactW2:
         real_tree_duals = transport._tree_duals
 
         def always_improvable(cost, in_basis):
-            u, v, parent = real_tree_duals(cost, in_basis)
-            return np.full_like(u, 10.0), np.zeros_like(v), parent
+            u, v = real_tree_duals(cost, in_basis)
+            return np.full_like(u, 10.0), np.zeros_like(v)
 
         monkeypatch.setattr(transport, "_tree_duals", always_improvable)
         with pytest.raises(NonConvergence, match="pivot budget"):
@@ -253,7 +263,7 @@ class TestTransportOracles:
     @pytest.mark.parametrize("dim", [2, 3, 64])
     @given(seed=st.integers(0, 10_000), rounded=st.booleans())
     def test_uniform_assignments_match_brute_force(self, dim, seed, rounded):
-        # Integer-rounded points tie many costs, which drives Bland's rule
+        # Integer-rounded points tie many costs, which drives the simplex
         # through degenerate pivots.
         rng = np.random.default_rng(seed)
         m = int(rng.integers(1, 7))
@@ -271,16 +281,33 @@ class TestTransportOracles:
         assert np.allclose(flows.sum(axis=1), uniform, atol=1e-12)
         assert np.allclose(flows.sum(axis=0), uniform, atol=1e-12)
 
-    @pytest.mark.parametrize("m", [30, 60])
-    @pytest.mark.parametrize("dim", [4, 64])
+    def test_bland_guard_matches_brute_force(self, monkeypatch):
+        # A run length of 1 hands every pivot after a degenerate one to
+        # Bland's rule, so the guard decides most pivots of these assignments.
+        monkeypatch.setattr(transport, "DEGENERATE_RUN", 1)
+        rng = np.random.default_rng(2011)
+        for _ in range(40):
+            m = int(rng.integers(2, 7))
+            x = np.round(2.0 * rng.standard_normal((m, 3)))
+            y = np.round(2.0 * rng.standard_normal((m, 3)))
+            cost = squared_distances(x, y)
+            uniform = np.full(m, 1.0 / m)
+            _, cert = solve_transport(cost, uniform, uniform)
+            want = brute_force_assignment_cost(cost)
+            assert cert.cost == pytest.approx(want, rel=1e-12, abs=1e-12)
+            assert cert.dual_gap <= 1e-9 * (1.0 + want)
+
+    def test_dantzig_pricing_pivot_count(self):
+        # Bland's rule alone took 22,729 pivots on this instance.
+        cost, supply, demand = random_instance(120, 4)
+        _, cert = solve_transport(cost, supply, demand)
+        assert cert.iterations <= 0.1 * 120 * 120
+
+    @pytest.mark.parametrize("dim, m", [(4, 30), (4, 60), (64, 30), (64, 60),
+                                        (4, 120), (4, 200)])
     def test_agrees_with_highs(self, m, dim):
         pytest.importorskip("scipy")
-        rng = np.random.default_rng([m, dim])
-        cost = squared_distances(rng.standard_normal((m, dim)),
-                                 rng.standard_normal((m, dim)))
-        supply = rng.random(m) + 0.1
-        demand = rng.random(m) + 0.1
-        supply, demand = supply / supply.sum(), demand / demand.sum()
+        cost, supply, demand = random_instance(m, dim)
         _, cert = solve_transport(cost, supply, demand)
         want = highs_transport_cost(cost, supply, demand)
         assert cert.cost == pytest.approx(want, rel=1e-9)
