@@ -16,13 +16,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .duality import (
+    _dual_certificate,
     _require_frame,
     _validate_coupling,
     canonical_dual_measure,
-    is_oblique_dual_measure,
     support_span,
 )
 from .errors import (
+    DimensionMismatch,
     HypothesisViolated,
     InternalConsistencyError,
     NotADual,
@@ -79,6 +80,10 @@ def approx_dual_residual(mu: DiscreteMeasure, nu: DiscreteMeasure,
     norm of S_nu^(1/2) (I - F), F being the coupling moment.
     """
     _validate_coupling(gamma, mu, nu)
+    dims = (mu.ambient_dim, nu.ambient_dim, W.ambient_dim, V.ambient_dim)
+    if len(set(dims)) > 1:
+        raise DimensionMismatch("mu, nu, W and V live in "
+                                + ", ".join(f"R^{n}" for n in dims))
     pi_wv = oblique_projection(W, V)
     F = gamma.moment_matrix()
     eps = spectral_norm(F - pi_wv)
@@ -124,16 +129,16 @@ class _ExactDual:
     @classmethod
     def certify(cls, mu: DiscreteMeasure, nu: DiscreteMeasure,
                 gamma_dual: Coupling, tol: Tolerance) -> "_ExactDual":
-        ok, resid = is_oblique_dual_measure(mu, nu, gamma_dual, tol)
-        if not ok:
-            raise NotADual(f"dual certificate residual {resid:.3e} too large")
         W = support_span(mu)
         V = support_span(nu)
+        ok, resid, pi_wv = _dual_certificate(mu, nu, gamma_dual, W, V, tol)
+        if not ok:
+            raise NotADual(f"dual certificate residual {resid:.3e} too large")
         return cls(
             gamma_dual=gamma_dual,
             c_upper=_require_frame(mu, W, tol, "the measure")[1],
             a_opt=_require_frame(nu, V, tol, "the dual measure")[0],
-            pi_wv=oblique_projection(W, V),
+            pi_wv=pi_wv,
         )
 
     def perturbation(self, eta: DiscreteMeasure, gamma_pert: Coupling,

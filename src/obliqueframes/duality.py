@@ -19,6 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import (
+    DimensionMismatch,
     InternalConsistencyError,
     MarginalMismatch,
     NotADual,
@@ -45,7 +46,7 @@ from .measures import (
     weak_equal,
 )
 from .potentials import SATURATION_TOL, PotentialReport
-from .transport import Coupling, graph_coupling
+from .transport import Coupling
 
 
 def support_span(mu: DiscreteMeasure) -> Subspace:
@@ -83,8 +84,8 @@ def canonical_dual_measure(mu: DiscreteMeasure, W: Subspace, V: Subspace,
                            ) -> tuple[DiscreteMeasure, Coupling]:
     """Canonical oblique dual measure with its graph coupling."""
     T = canonical_dual_map(mu, W, V, tol)
-    gamma = graph_coupling(mu, lambda x: T @ x)
-    return gamma.marginal_y, gamma
+    nu = pushforward(mu, lambda x: T @ x)
+    return nu, Coupling(mu.points, nu.points, mu.weights)
 
 
 def is_oblique_dual_measure(mu: DiscreteMeasure, nu: DiscreteMeasure,
@@ -97,16 +98,18 @@ def is_oblique_dual_measure(mu: DiscreteMeasure, nu: DiscreteMeasure,
     projection.
     """
     return _dual_certificate(mu, nu, gamma, support_span(mu),
-                             support_span(nu), tol)
+                             support_span(nu), tol)[:2]
 
 
 def _dual_certificate(mu: DiscreteMeasure, nu: DiscreteMeasure,
                       gamma: Coupling, W: Subspace, V: Subspace,
-                      tol: Tolerance) -> tuple[bool, float]:
-    """is_oblique_dual_measure with the spans W of mu and V of nu given."""
+                      tol: Tolerance) -> tuple[bool, float, np.ndarray]:
+    """is_oblique_dual_measure with the spans W of mu and V of nu given;
+    also returns the oblique projection the residual was measured against."""
     _validate_coupling(gamma, mu, nu)
-    residual = spectral_norm(gamma.moment_matrix() - oblique_projection(W, V))
-    return residual <= tol.eq_tol, float(residual)
+    pi_wv = oblique_projection(W, V)
+    residual = spectral_norm(gamma.moment_matrix() - pi_wv)
+    return residual <= tol.eq_tol, float(residual), pi_wv
 
 
 def pushforward_dual_map(mu: DiscreteMeasure, W: Subspace, V: Subspace, h,
@@ -137,20 +140,15 @@ def transfer_dual_to_K(nu: DiscreteMeasure, gamma: Coupling, W: Subspace,
                        ) -> tuple[DiscreteMeasure, Coupling]:
     """Carry a dual on V to a dual on K by obliquely projecting the
     sampling atoms, keeping the coupling's first coordinates."""
+    if not is_marginal(gamma.y, gamma.weights, nu):
+        raise MarginalMismatch("coupling's second marginal is not the given measure")
     moment = gamma.moment_matrix()
     pw = W.basis @ W.basis.T
     if spectral_norm(moment @ pw - pw) > tol.eq_tol:
         raise NotADual("the coupling does not reconstruct the synthesis subspace")
     pi_kw = oblique_projection(K, W)
     nu_k = pushforward(nu, lambda y: pi_kw @ y)
-    gamma_k = Coupling(
-        gamma.x,
-        gamma.y @ pi_kw.T,
-        gamma.weights,
-        gamma.marginal_x,
-        nu_k,
-    )
-    return nu_k, gamma_k
+    return nu_k, Coupling(gamma.x, gamma.y @ pi_kw.T, gamma.weights)
 
 
 def probabilistic_consistency_check(mu: DiscreteMeasure, nu: DiscreteMeasure,
@@ -197,9 +195,12 @@ def _pf_dual_potential(mu: DiscreteMeasure, nu: DiscreteMeasure, W: Subspace,
     if mode not in ("pushforward", "general"):
         raise ValueError(f"unknown potential mode {mode!r}")
     if coupling is not None:
-        ok, resid = _dual_certificate(mu, nu, coupling, W, V, tol)
+        ok, resid, _ = _dual_certificate(mu, nu, coupling, W, V, tol)
         if not ok:
             raise NotADual(f"certificate residual {resid:.3e} too large")
+    if mu.ambient_dim != nu.ambient_dim:
+        raise DimensionMismatch(f"the first measure lives in R^{mu.ambient_dim}, "
+                                f"the second in R^{nu.ambient_dim}")
     d = W.dim
     s_mu = measure_frame_operator(mu)
     s_nu = measure_frame_operator(nu)

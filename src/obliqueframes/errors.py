@@ -37,7 +37,7 @@ class NotADual(FrameError):
 
 
 class MarginalMismatch(FrameError):
-    """A coupling's marginals disagree with the declared measures."""
+    """A coupling's marginals are not the measures it is claimed to couple."""
 
 
 class SupportOutsideSubspace(FrameError):

@@ -87,6 +87,9 @@ class Subspace:
         """Index of the first row x with ||x - B B^T x|| > eq_tol * ||x||,
         or None when every row lies in the subspace; zero rows always do."""
         X = np.atleast_2d(_as_float_array(rows, "rows"))
+        if X.shape[1] != self.ambient_dim:
+            raise DimensionMismatch(f"rows live in R^{X.shape[1]}, "
+                                    f"the subspace in R^{self.ambient_dim}")
         resid = X - (X @ self.basis) @ self.basis.T
         outside = np.flatnonzero(np.linalg.norm(resid, axis=1)
                                  > eq_tol * np.linalg.norm(X, axis=1))

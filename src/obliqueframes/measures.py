@@ -5,7 +5,7 @@ for a subspace W when its support spans W, in which case the second-moment
 matrix plays the role of the frame operator.  Almost-everywhere statements
 degenerate to "for every atom of positive weight".  Frame-ness, bounds and
 tightness come from the same linalg.restricted_spectrum as finite frames.
-Aggregation, weak equality and marginal checks share one test of atom
+Weak equality, marginal checks and gluing share one test of atom
 identity, match_atoms: single linkage within POSITION_TOL in max norm.
 """
 from __future__ import annotations
@@ -141,14 +141,6 @@ def match_atoms(points: np.ndarray, weights: np.ndarray
     firsts, group = np.unique(parent[np.cumsum(fresh) - 1], return_inverse=True)
     sums = np.bincount(group, weights=weights[order], minlength=firsts.size)
     return group[np.argsort(order)], distinct[firsts], sums
-
-
-def aggregate(points: np.ndarray, weights: np.ndarray) -> DiscreteMeasure:
-    """Canonical form of weighted atoms: sorted, matching atoms merged,
-    dead atoms dropped, weights renormalized."""
-    _, pts, w = match_atoms(points, weights)
-    keep = w > 0
-    return DiscreteMeasure(pts[keep], w[keep] / np.sum(w[keep]))
 
 
 def is_marginal(coords: np.ndarray, weights: np.ndarray,

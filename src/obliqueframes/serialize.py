@@ -16,7 +16,7 @@ from .errors import ParseError
 from .frames import FiniteFrame, ObliqueDualPair
 from .linalg import Subspace, DEFAULT_TOL, Tolerance
 from .measures import DiscreteMeasure
-from .transport import _AGGREGATE, Coupling, TriCoupling
+from .transport import Coupling, TriCoupling
 
 
 def _format_float(x: float) -> str:
@@ -220,7 +220,7 @@ def coupling_from_obj(obj) -> Coupling:
     y = np.array(ys)
     w = np.array(ws)
     try:
-        return Coupling(x, y, w, _AGGREGATE, _AGGREGATE)
+        return Coupling(x, y, w)
     except ValueError as exc:
         raise ParseError(f"invalid coupling: {exc}") from exc
 

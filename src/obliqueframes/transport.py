@@ -1,11 +1,13 @@
 """Discrete optimal transport with quadratic cost.
 
-Couplings are finitely supported joint measures with declared marginals,
-validated at construction.  The exact 2-Wasserstein distance is computed
-by a transportation simplex on the dense cost matrix: Dantzig pricing,
-Bland's rule after a run of degenerate pivots so that it cannot cycle, and
-tree potentials updated on the subtree each pivot cuts off.  Optimality is
-certified through the LP dual, with potentials from a fresh tree walk.
+A coupling is a finitely supported joint measure: weighted pairs (x, y).
+That it couples two given measures is a claim of the call that takes it
+with them, and is checked there (duality._validate_coupling).  The exact
+2-Wasserstein distance is computed by a transportation simplex on the
+dense cost matrix: Dantzig pricing, Bland's rule after a run of degenerate
+pivots so that it cannot cycle, and tree potentials updated on the subtree
+each pivot cuts off.  Optimality is certified through the LP dual, with
+potentials from a fresh tree walk.
 The gluing construction composes two couplings over a shared marginal.
 """
 from __future__ import annotations
@@ -17,26 +19,17 @@ import numpy as np
 from .errors import (DimensionMismatch, InternalConsistencyError,
                      MarginalMismatch, NonConvergence)
 from .linalg import _as_float_array, _freeze
-from .measures import (MARGINAL_TOL, DiscreteMeasure, aggregate, is_marginal,
-                       match_atoms)
-
-# Placeholder marginal for couplings parsed from pairs alone; see Coupling.
-_AGGREGATE = object()
+from .measures import MARGINAL_TOL, DiscreteMeasure, match_atoms, pushforward
 
 
 @dataclass(frozen=True)
 class Coupling:
-    """Joint measure on pairs (x, y) with declared marginals.
-
-    A marginal passed as _AGGREGATE becomes the aggregate of the coupling's
-    own coordinates, which needs no check.
-    """
+    """Joint measure on weighted pairs (x, y): finite, nonnegative weights
+    of total mass one."""
 
     x: np.ndarray        # (m, n) first coordinates
     y: np.ndarray        # (m, n) second coordinates
     weights: np.ndarray  # (m,)
-    marginal_x: DiscreteMeasure
-    marginal_y: DiscreteMeasure
 
     def __post_init__(self):
         x = _as_float_array(np.atleast_2d(self.x), "x")
@@ -51,13 +44,6 @@ class Coupling:
         object.__setattr__(self, "x", _freeze(x))
         object.__setattr__(self, "y", _freeze(y))
         object.__setattr__(self, "weights", _freeze(w))
-        for name, coords, side in (("marginal_x", x, "first"),
-                                   ("marginal_y", y, "second")):
-            declared = getattr(self, name)
-            if declared is _AGGREGATE:
-                object.__setattr__(self, name, aggregate(coords, w))
-            elif not is_marginal(coords, w, declared):
-                raise MarginalMismatch(f"{side}-coordinate marginal mismatch")
 
     @property
     def num_pairs(self) -> int:
@@ -73,14 +59,12 @@ def product_coupling(mu: DiscreteMeasure, nu: DiscreteMeasure) -> Coupling:
     xs = np.repeat(mu.points, nu.num_atoms, axis=0)
     ys = np.tile(nu.points, (mu.num_atoms, 1))
     w = np.outer(mu.weights, nu.weights).reshape(-1)
-    return Coupling(xs, ys, w, mu, nu)
+    return Coupling(xs, ys, w)
 
 
 def graph_coupling(mu: DiscreteMeasure, T) -> Coupling:
     """Coupling supported on the graph of an atom-wise map."""
-    images = np.array([np.asarray(T(x), dtype=float) for x in mu.points])
-    nu = DiscreteMeasure(images, mu.weights)
-    return Coupling(mu.points, images, mu.weights, mu, nu)
+    return Coupling(mu.points, pushforward(mu, T).points, mu.weights)
 
 
 def identity_coupling(mu: DiscreteMeasure) -> Coupling:
@@ -335,7 +319,7 @@ def _flow_coupling(mu: DiscreteMeasure, nu: DiscreteMeasure,
                    flows: np.ndarray) -> Coupling:
     """Coupling carried by the positive flows between the atoms of mu and nu."""
     ii, jj = np.nonzero(flows > 0)
-    return Coupling(mu.points[ii], nu.points[jj], flows[ii, jj], mu, nu)
+    return Coupling(mu.points[ii], nu.points[jj], flows[ii, jj])
 
 
 # ---------------------------------------------------------------------------
@@ -366,8 +350,7 @@ class TriCoupling:
 
     def xz_coupling(self) -> Coupling:
         """Projection onto the outer coordinates."""
-        return Coupling(self.x, self.z, self.weights,
-                        self.gamma_xy.marginal_x, self.gamma_yz.marginal_y)
+        return Coupling(self.x, self.z, self.weights)
 
 
 def glue(gamma_xy: Coupling, gamma_yz: Coupling) -> TriCoupling:

@@ -36,6 +36,7 @@ from obliqueframes import (
     potential_gradient,
     potential_objective,
     pseudoinverse,
+    pushforward,
     pushforward_dual_map,
     uniform_atoms,
 )
@@ -129,7 +130,7 @@ def test_criterion_02_canonical_duals_are_sharp(random_suite,
         assert dual_p_potential(pair, 2.0).value - W.dim > 1e-6
         mu = uniform_atoms(F.vectors)
         T = atom_table_map(rng, mu, W, V)
-        nu = graph_coupling(mu, T).marginal_y
+        nu = pushforward(mu, T)
         bounds = classify_probabilistic_frame(mu, W).bounds
         rep = pf_dual_potential(mu, nu, "pushforward", bounds)
         assert rep.value - W.dim > 1e-6
@@ -213,7 +214,7 @@ def test_criterion_05_weighted_dimension_bound():
         else:
             T = atom_table_map(rng, mu, W, V, scale=0.5)
             gamma = graph_coupling(mu, T)
-            nu = gamma.marginal_y
+            nu = pushforward(mu, T)
         rep = pf_dual_potential(mu, nu, "general", (lo, hi), gamma)
         assert rep.gap >= -1e-9
         assert rep.gap > 1e-6
@@ -367,7 +368,7 @@ def test_criterion_10_cross_module_consistency(random_suite):
                         @ (V.basis @ V.basis.T))
         pts = nu.points + jitter
         nu_p = DiscreteMeasure(pts, nu.weights)
-        gamma_p = Coupling(gamma.x, pts, gamma.weights, gamma.marginal_x, nu_p)
+        gamma_p = Coupling(gamma.x, pts, gamma.weights)
         rep_p = approx_dual_residual(mu, nu_p, gamma_p, W, V)
         b_nu = classify_probabilistic_frame(nu_p, V).bounds[1]
         to_cons, to_approx = consistency_conversions(rep_p, b_nu, nu_p, W, V)

@@ -4,6 +4,7 @@ from hypothesis import given, strategies as st
 
 from obliqueframes import approx as approx_mod
 from obliqueframes import (
+    DEFAULT_TOL,
     Coupling,
     DiscreteMeasure,
     HypothesisViolated,
@@ -14,8 +15,10 @@ from obliqueframes import (
     coupling_cost,
     interiority_experiment,
     is_oblique_dual_measure,
+    oblique_projection,
     perturbation_certificate,
     product_coupling,
+    support_span,
     uniform_atoms,
 )
 from obliqueframes.gallery import (
@@ -77,7 +80,7 @@ class TestConsistencySupremum:
             pts = np.array(nu.points)
             pts[0] += shift
             nu = DiscreteMeasure(pts, nu.weights)
-            gamma = Coupling(gamma.x, pts, gamma.weights, gamma.marginal_x, nu)
+            gamma = Coupling(gamma.x, pts, gamma.weights)
         rep = approx_dual_residual(mu, nu, gamma, W, V)
         F = gamma.moment_matrix()
 
@@ -133,8 +136,7 @@ class TestConsistencyConversions:
                                          [0.0, 1.0], [0.0, -1.0]])
         nu = uniform_atoms(atoms)
         mu = uniform_atoms((1.0 - delta) * atoms)
-        gamma = Coupling((1.0 - delta) * atoms, atoms,
-                         np.full(4, 0.25), mu, nu)
+        gamma = Coupling((1.0 - delta) * atoms, atoms, np.full(4, 0.25))
         R2 = full_space(2)
         rep = approx_dual_residual(mu, nu, gamma, R2, R2)
         assert rep.consistency_bound == pytest.approx(delta, abs=1e-12)
@@ -152,7 +154,7 @@ class TestConsistencyConversions:
                         @ (V.basis @ V.basis.T))
         pts = nu.points + jitter
         nu_p = DiscreteMeasure(pts, nu.weights)
-        gamma_p = Coupling(gamma.x, pts, gamma.weights, gamma.marginal_x, nu_p)
+        gamma_p = Coupling(gamma.x, pts, gamma.weights)
         rep = approx_dual_residual(mu, nu_p, gamma_p, W, V)
         b_nu = classify_probabilistic_frame(nu_p, V).bounds[1]
         to_cons, to_approx = consistency_conversions(rep, b_nu, nu_p, W, V)
@@ -163,7 +165,7 @@ class TestConsistencyConversions:
 class TestPerturbationCertificate:
     def test_identity_perturbation(self):
         mu, nu, gamma = skew_line_measures()
-        pairs = Coupling(nu.points, nu.points, nu.weights, nu, nu)
+        pairs = Coupling(nu.points, nu.points, nu.weights)
         cert = perturbation_certificate(mu, nu, gamma, nu, pairs, eps=0.1)
         assert cert.lam == 0.0
         assert cert.epsilon_actual <= 1e-12
@@ -171,7 +173,7 @@ class TestPerturbationCertificate:
     def test_skew_line_monotone_perturbation(self):
         mu, nu, gamma = skew_line_measures()
         eta = DiscreteMeasure([[0.05, 0.05], [2.05, 2.05]], [0.5, 0.5])
-        pert = Coupling(nu.points, eta.points, [0.5, 0.5], nu, eta)
+        pert = Coupling(nu.points, eta.points, [0.5, 0.5])
         lam = coupling_cost(pert)
         assert lam == pytest.approx(0.005)
         cert = perturbation_certificate(mu, nu, gamma, eta, pert, eps=0.1)
@@ -187,20 +189,20 @@ class TestPerturbationCertificate:
     def test_cost_budget_enforced(self):
         mu, nu, gamma = skew_line_measures()
         eta = DiscreteMeasure([[1.0, 1.0], [3.0, 3.0]], [0.5, 0.5])
-        pert = Coupling(nu.points, eta.points, [0.5, 0.5], nu, eta)
+        pert = Coupling(nu.points, eta.points, [0.5, 0.5])
         with pytest.raises(HypothesisViolated):
             perturbation_certificate(mu, nu, gamma, eta, pert, eps=0.1)
 
     def test_overclaimed_lower_bound_rejected(self):
         mu, nu, gamma = skew_line_measures()
-        pairs = Coupling(nu.points, nu.points, nu.weights, nu, nu)
+        pairs = Coupling(nu.points, nu.points, nu.weights)
         with pytest.raises(HypothesisViolated):
             perturbation_certificate(mu, nu, gamma, nu, pairs, eps=0.1,
                                      a_lower=100.0)
 
     def test_bound_product_constraint_rejected(self):
         mu, nu, gamma = skew_line_measures()
-        pairs = Coupling(nu.points, nu.points, nu.weights, nu, nu)
+        pairs = Coupling(nu.points, nu.points, nu.weights)
         # 4 is a valid lower bound for nu but makes A * C = 4 > 1.
         with pytest.raises(HypothesisViolated):
             perturbation_certificate(mu, nu, gamma, nu, pairs, eps=0.1,
@@ -222,7 +224,7 @@ class TestPerturbationCertificate:
                              * np.einsum("ki,ki->k", jitter, jitter)))
         jitter *= np.sqrt(a) * eps / np.sqrt(norm2)
         eta = DiscreteMeasure(nu.points + jitter, nu.weights)
-        pert = Coupling(nu.points, eta.points, nu.weights, nu, eta)
+        pert = Coupling(nu.points, eta.points, nu.weights)
         cert = perturbation_certificate(mu, nu, gamma, eta, pert, eps)
         lam = cert.lam
         assert cert.epsilon_actual <= np.sqrt(lam * c_upper) + 1e-9
@@ -287,6 +289,29 @@ class TestInteriorityExperiment:
                                             a_lower=a)
             assert cert.lam == record.lam
             assert cert.epsilon_actual == record.eps_actual
+
+    def test_exact_dual_is_spanned_and_projected_once(self, monkeypatch):
+        from obliqueframes import duality
+
+        mu = mercedes_benz_measure()
+        R2 = full_space(2)
+        nu, gamma = canonical_dual_measure(mu, R2, R2)
+        calls = []
+        for module in (duality, approx_mod):
+            for name in ("orthonormal_basis", "oblique_projection"):
+                if hasattr(module, name):
+                    real = getattr(module, name)
+
+                    def counting(*args, _name=name, _real=real):
+                        calls.append(_name)
+                        return _real(*args)
+
+                    monkeypatch.setattr(module, name, counting)
+        dual = approx_mod._ExactDual.certify(mu, nu, gamma, DEFAULT_TOL)
+        assert sorted(calls) == ["oblique_projection", "orthonormal_basis",
+                                 "orthonormal_basis"]
+        W, V = support_span(mu), support_span(nu)
+        assert np.array_equal(dual.pi_wv, oblique_projection(W, V))
 
 
 class TestCrossModuleConsistency:

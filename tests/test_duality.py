@@ -113,8 +113,7 @@ class TestIsObliqueDualMeasure:
 
     def test_swapped_mass_is_a_marginal_mismatch(self):
         mu, nu, _ = skew_line_measures()
-        bad = Coupling([[1.0, 0.0]], [[0.0, 0.0]], [1.0],
-                       mu, dirac([0.0, 0.0]))
+        bad = Coupling([[1.0, 0.0]], [[0.0, 0.0]], [1.0])
         with pytest.raises(MarginalMismatch):
             is_oblique_dual_measure(mu, nu, bad)
 
@@ -175,14 +174,12 @@ class TestLemmaBridgeAndBounds:
         nu, gamma = canonical_dual_measure(mu, W, V)
         # Project the sampling coordinate onto W: a standard dual on W.
         pw = orthogonal_projection(W)
-        gamma_w = Coupling(gamma.x, gamma.y @ pw, gamma.weights,
-                           mu, linear_pushforward(nu, pw))
+        gamma_w = Coupling(gamma.x, gamma.y @ pw, gamma.weights)
         ok, _ = is_oblique_dual_measure(mu, linear_pushforward(nu, pw), gamma_w)
         assert ok
         # Project the synthesis coordinate onto V: a standard dual on V.
         pv = orthogonal_projection(V)
-        gamma_v = Coupling(gamma.x @ pv, gamma.y, gamma.weights,
-                           linear_pushforward(mu, pv), nu)
+        gamma_v = Coupling(gamma.x @ pv, gamma.y, gamma.weights)
         ok, _ = is_oblique_dual_measure(linear_pushforward(mu, pv), nu, gamma_v)
         assert ok
 
@@ -229,7 +226,7 @@ class TestPushforwardDualMap:
         R2 = full_space(2)
         T = pushforward_dual_map(mu, R2, R2, lambda x: 0.3 * x[0] * x)
         gamma = graph_coupling(mu, T)
-        nu = gamma.marginal_y
+        nu = pushforward(mu, T)
         ok, _ = is_oblique_dual_measure(mu, nu, gamma)
         assert ok
         rep = pf_dual_potential(mu, nu, "pushforward", (0.5, 0.5))
@@ -264,7 +261,7 @@ class TestPushforwardDualMap:
 
         T = pushforward_dual_map(mu, W, V, h)
         gamma = graph_coupling(mu, T)
-        ok, resid = is_oblique_dual_measure(mu, gamma.marginal_y, gamma)
+        ok, resid = is_oblique_dual_measure(mu, pushforward(mu, T), gamma)
         assert ok and resid <= 1e-9
 
 
@@ -300,6 +297,13 @@ class TestTransferDual:
         with pytest.raises(NotADual):
             transfer_dual_to_K(nu_bad, gamma, W, V)
 
+    def test_coupling_of_another_measure_rejected(self):
+        _, nu, gamma = skew_line_measures()
+        W, V = skew_line_subspaces()
+        other = DiscreteMeasure(nu.points, [0.25, 0.75])
+        with pytest.raises(MarginalMismatch, match="second marginal"):
+            transfer_dual_to_K(other, gamma, W, V)
+
 
 class TestConsistencyCheck:
     def test_canonical_coupling_is_consistent(self):
@@ -331,7 +335,7 @@ class TestConsistencyCheck:
             shift = V.basis[:, 0] * 0.5
             pts = nu.points + shift
             nu = DiscreteMeasure(pts, nu.weights)
-            gamma = Coupling(gamma.x, pts, gamma.weights, gamma.marginal_x, nu)
+            gamma = Coupling(gamma.x, pts, gamma.weights)
         ok, resid = is_oblique_dual_measure(mu, nu, gamma)
         probes = rng.standard_normal((32, mu.ambient_dim))
         consistency = probabilistic_consistency_check(mu, nu, gamma, probes)
@@ -381,8 +385,7 @@ class TestPfDualPotential:
         if seed % 2 == 0:
             nu = linear_pushforward(mu, T0)
         else:
-            nu = graph_coupling(mu, random_table_dual_map(rng, mu, W, V)
-                                ).marginal_y
+            nu = pushforward(mu, random_table_dual_map(rng, mu, W, V))
         bounds = classify_probabilistic_frame(mu, W).bounds
         rep = pf_dual_potential(mu, nu, "pushforward", bounds)
         assert rep.gap >= -1e-9

@@ -277,7 +277,7 @@ class TestCli:
         from obliqueframes import Coupling, DiscreteMeasure
         nu = parse_fixture(fixture("skew_line_nu.json"), "measure")
         eta = DiscreteMeasure([[0.05, 0.05], [2.05, 2.05]], [0.5, 0.5])
-        pert = Coupling(nu.points, eta.points, [0.5, 0.5], nu, eta)
+        pert = Coupling(nu.points, eta.points, [0.5, 0.5])
         eta_path = tmp_path / "eta.json"
         pert_path = tmp_path / "pert.json"
         serialize_fixture(eta, str(eta_path))
@@ -312,7 +312,7 @@ class TestCli:
         from obliqueframes import Coupling, DiscreteMeasure
         nu = parse_fixture(fixture("skew_line_nu.json"), "measure")
         eta = DiscreteMeasure([[1.0, 1.0], [3.0, 3.0]], [0.5, 0.5])
-        pert = Coupling(nu.points, eta.points, [0.5, 0.5], nu, eta)
+        pert = Coupling(nu.points, eta.points, [0.5, 0.5])
         eta_path = tmp_path / "eta.json"
         pert_path = tmp_path / "pert.json"
         serialize_fixture(eta, str(eta_path))
@@ -425,6 +425,37 @@ class TestIllConditionedInputs:
         assert err.startswith("error: ") and err.count("\n") == 1
 
 
+L3 = {"ambient_dim": 3, "basis": [[1], [0], [0]]}
+M1 = {"ambient_dim": 1, "points": [[1]], "weights": [1]}
+
+
+class TestDimensionMismatch:
+    """Inputs from different ambient spaces exit 2 with one typed error
+    line that names both dimensions."""
+
+    @pytest.mark.parametrize("argv,message", [
+        (["pf-classify", "skew_line_mu.json", "L3"],
+         "rows live in R^2, the subspace in R^3"),
+        (["interiority", "skew_line_mu.json", "L3", "L3", "--eps", "0.1"],
+         "rows live in R^2, the subspace in R^3"),
+        (["pf-potential", "M1", "skew_line_nu.json"],
+         "the first measure lives in R^1, the second in R^2"),
+        (["approx-check", "skew_line_mu.json", "skew_line_nu.json",
+          "skew_line_product_coupling.json", "L3", "L3"],
+         "mu, nu, W and V live in R^2, R^2, R^3, R^3"),
+    ], ids=["pf-classify", "interiority", "pf-potential", "approx-check"])
+    def test_exits_2_naming_both_dimensions(self, tmp_path, capsys, argv,
+                                            message):
+        paths = {"L3": write_json(tmp_path, "l3.json", L3),
+                 "M1": write_json(tmp_path, "m1.json", M1)}
+        args = [paths.get(a) or (fixture(a) if a.endswith(".json") else a)
+                for a in argv[1:]]
+        assert run_cli(argv[0], *args) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: {message}\n"
+
+
 SKEW = ("skew_line_mu.json", "skew_line_w.json", "skew_line_v.json")
 
 
@@ -533,8 +564,10 @@ class TestOneTolerance:
 
 
 class TestWorkDoneOnce:
-    def test_parsed_coupling_aggregates_each_side_once(self, monkeypatch):
-        from obliqueframes import measures
+    @pytest.fixture
+    def match_calls(self, monkeypatch):
+        """Every match_atoms call, whether through measures or transport."""
+        from obliqueframes import measures, transport
 
         calls = []
         match_atoms = measures.match_atoms
@@ -544,12 +577,32 @@ class TestWorkDoneOnce:
             return match_atoms(*args)
 
         monkeypatch.setattr(measures, "match_atoms", counting)
+        monkeypatch.setattr(transport, "match_atoms", counting)
+        return calls
+
+    def test_parsed_coupling_aggregates_each_side_once(self, match_calls):
+        from obliqueframes.measures import is_marginal
+
         gamma = parse_fixture(fixture("skew_line_product_coupling.json"),
                               "coupling")
-        assert len(calls) == 2
-        assert measures.weak_equal(gamma.marginal_x,
-                                   parse_fixture(fixture("skew_line_mu.json"),
-                                                 "measure"))
+        assert len(match_calls) == 0
+        mu = parse_fixture(fixture("skew_line_mu.json"), "measure")
+        assert is_marginal(gamma.x, gamma.weights, mu)
+
+    @pytest.mark.parametrize("argv,calls", [
+        # One marginal check per side of the certificate.
+        (["pf-check", fixture("skew_line_mu.json"),
+          fixture("skew_line_nu.json"),
+          fixture("skew_line_product_coupling.json")], 2),
+        # The exact dual's two marginal checks, then one glue per trial.
+        (["interiority", fixture("mercedes_benz_measure.json"),
+          fixture("plane.json"), fixture("plane.json"), "--eps", "0.1",
+          "--trials", "16"], 2 + 16),
+    ], ids=["pf-check", "interiority"])
+    def test_atoms_are_matched_only_where_a_claim_is_checked(
+            self, match_calls, argv, calls):
+        assert run_cli(*argv) == 0
+        assert len(match_calls) == calls
 
     def test_pf_potential_spans_each_measure_once(self, monkeypatch):
         from obliqueframes import duality
