@@ -58,7 +58,6 @@ from .transport import (
 class ApproxDualReport:
     epsilon_residual: float
     consistency_bound: float
-    coupling_used: Coupling
 
 
 @dataclass(frozen=True)
@@ -90,22 +89,21 @@ def approx_dual_residual(mu: DiscreteMeasure, nu: DiscreteMeasure,
     s_nu_root = psd_sqrt(measure_frame_operator(nu))
     consistency = spectral_norm(s_nu_root @ (np.eye(mu.ambient_dim) - F))
     return ApproxDualReport(epsilon_residual=float(eps),
-                            consistency_bound=float(consistency),
-                            coupling_used=gamma)
+                            consistency_bound=float(consistency))
 
 
-def consistency_conversions(report: ApproxDualReport, b_nu: float,
-                            nu: DiscreteMeasure, W: Subspace, V: Subspace,
+def consistency_conversions(report: ApproxDualReport, nu: DiscreteMeasure,
+                            W: Subspace, V: Subspace,
                             tol: Tolerance = DEFAULT_TOL) -> tuple[float, float]:
     """Two-way conversion constants between the residual and consistency.
 
-    to_consistency = sqrt(B_nu) * residual dominates the consistency
-    constant; to_approx = consistency * sqrt(M2 of the canonical-dual
-    pushforward of nu) dominates the residual.  Both dominations are
-    verified before returning.
+    to_consistency = sqrt(B_nu) * residual, with B_nu the upper frame bound
+    of nu on V, dominates the consistency constant; to_approx = consistency
+    * sqrt(M2 of the canonical-dual pushforward of nu) dominates the
+    residual.  Both dominations are verified before returning.
     """
-    _require_frame(nu, V, tol, "the sampling measure")
-    to_consistency = float(np.sqrt(b_nu) * report.epsilon_residual)
+    upper = _require_frame(nu, V, tol, "the sampling measure")[1]
+    to_consistency = float(np.sqrt(upper) * report.epsilon_residual)
     dual_map, _ = dual_operator(measure_frame_operator(nu), W, V)
     m2 = second_moment(linear_pushforward(nu, dual_map))
     to_approx = float(report.consistency_bound * np.sqrt(m2))

@@ -77,8 +77,8 @@ def cmd_oblique_dual(args):
 
 def cmd_check_dual(args):
     pair = parse_fixture(args.pair, "pair", args.tol)
-    ok, resid = frames.is_oblique_dual(pair.synthesis, pair.analysis, args.tol)
-    _emit(args, {"is_dual": ok, "residual": resid})
+    _emit(args, {"is_dual": pair.residual <= args.tol.eq_tol,
+                 "residual": pair.residual})
 
 
 def cmd_potential(args):
@@ -165,13 +165,8 @@ def cmd_pf_check(args):
 def cmd_pf_potential(args):
     mu = parse_fixture(args.mu, "measure")
     nu = parse_fixture(args.nu, "measure")
-    W = duality.support_span(mu)
-    bounds = duality._require_frame(mu, W, args.tol, "the first measure")
-    gamma = None
-    if args.coupling:
-        gamma = parse_fixture(args.coupling, "coupling")
-    rep = duality._pf_dual_potential(mu, nu, W, duality.support_span(nu),
-                                     args.mode, bounds, gamma, args.tol)
+    gamma = parse_fixture(args.coupling, "coupling") if args.coupling else None
+    rep = duality.pf_dual_potential(mu, nu, args.mode, gamma, args.tol)
     _emit(args, _potential_obj(rep))
 
 

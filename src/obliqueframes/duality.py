@@ -172,28 +172,20 @@ def probabilistic_consistency_check(mu: DiscreteMeasure, nu: DiscreteMeasure,
 
 
 def pf_dual_potential(mu: DiscreteMeasure, nu: DiscreteMeasure, mode: str,
-                      bounds_of_mu: tuple[float, float],
                       coupling: Coupling | None = None,
                       tol: Tolerance = DEFAULT_TOL) -> PotentialReport:
     """Dual potential of a measure pair with the applicable lower bound.
 
     mode 'pushforward' uses the dimension bound (tightness-free); mode
-    'general' uses the (A/B)-weighted bound for a frame with bounds
-    (A, B) = bounds_of_mu, which also decide whether mu is tight.
+    'general' uses the (A/B)-weighted bound for the frame bounds (A, B) of
+    mu on its span, which also decide whether mu is tight.
     When a coupling certificate is supplied it is verified first.
     """
-    return _pf_dual_potential(mu, nu, support_span(mu), support_span(nu),
-                              mode, bounds_of_mu, coupling, tol)
-
-
-def _pf_dual_potential(mu: DiscreteMeasure, nu: DiscreteMeasure, W: Subspace,
-                       V: Subspace, mode: str,
-                       bounds_of_mu: tuple[float, float],
-                       coupling: Coupling | None, tol: Tolerance
-                       ) -> PotentialReport:
-    """pf_dual_potential with the spans W of mu and V of nu given."""
     if mode not in ("pushforward", "general"):
         raise ValueError(f"unknown potential mode {mode!r}")
+    W = support_span(mu)
+    lo, hi = _require_frame(mu, W, tol, "the first measure")
+    V = support_span(nu)
     if coupling is not None:
         ok, resid, _ = _dual_certificate(mu, nu, coupling, W, V, tol)
         if not ok:
@@ -206,7 +198,6 @@ def _pf_dual_potential(mu: DiscreteMeasure, nu: DiscreteMeasure, W: Subspace,
     s_nu = measure_frame_operator(nu)
     value = float(np.trace(s_mu @ s_nu))
 
-    lo, hi = bounds_of_mu
     if mode == "pushforward":
         lower = float(d)
         saturated = value - lower <= SATURATION_TOL

@@ -9,7 +9,7 @@ consistent-reconstruction check.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -74,17 +74,18 @@ class FiniteFrame:
 @dataclass(frozen=True)
 class ObliqueDualPair:
     """A synthesis frame on W and an analysis frame on V, plus the
-    spectral-norm residual of the mixed reconstruction identity."""
+    spectral-norm residual of the mixed reconstruction identity, which the
+    pair computes itself and never takes from its caller."""
 
     analysis: FiniteFrame
     synthesis: FiniteFrame
-    residual: float
+    residual: float = field(init=False)
 
     def __post_init__(self):
         if len(self.analysis) != len(self.synthesis):
             raise DimensionMismatch("analysis and synthesis lengths differ")
-        if self.residual < 0:
-            raise ValueError("residual must be nonnegative")
+        object.__setattr__(self, "residual",
+                           dual_residual(self.synthesis, self.analysis))
 
 
 def frame_operator(F: FiniteFrame) -> np.ndarray:
@@ -110,22 +111,14 @@ def dual_residual(synthesis: FiniteFrame, analysis: FiniteFrame) -> float:
 def is_oblique_dual(Fw: FiniteFrame, Fv: FiniteFrame,
                     tol: Tolerance = DEFAULT_TOL) -> tuple[bool, float]:
     """Check whether Fv is an oblique dual of Fw on its subspace."""
-    if len(Fw) != len(Fv):
-        raise DimensionMismatch(
-            f"frame lengths differ: {len(Fw)} vs {len(Fv)}"
-        )
-    resid = dual_residual(Fw, Fv)
+    resid = ObliqueDualPair(analysis=Fv, synthesis=Fw).residual
     return resid <= tol.eq_tol, resid
 
 
 def _dual_pair(F: FiniteFrame, analysis_vecs: np.ndarray, V: Subspace,
                tol: Tolerance) -> ObliqueDualPair:
-    analysis = FiniteFrame.create(analysis_vecs, V, tol)
-    return ObliqueDualPair(
-        analysis=analysis,
-        synthesis=F,
-        residual=dual_residual(F, analysis),
-    )
+    return ObliqueDualPair(analysis=FiniteFrame.create(analysis_vecs, V, tol),
+                           synthesis=F)
 
 
 def canonical_oblique_dual(F: FiniteFrame, V: Subspace,

@@ -154,14 +154,11 @@ def pair_to_obj(pair: ObliqueDualPair) -> dict:
 
 
 def pair_from_obj(obj, tol: Tolerance = DEFAULT_TOL) -> ObliqueDualPair:
+    """The file's 'residual' is not read: the pair recomputes it."""
     synthesis = frame_from_obj(_require(obj, "synthesis"), tol)
     analysis = frame_from_obj(_require(obj, "analysis"), tol)
-    residual = _require(obj, "residual")
-    if not isinstance(residual, (int, float)) or isinstance(residual, bool):
-        raise ParseError("field 'residual' must be a number")
     try:
-        return ObliqueDualPair(analysis=analysis, synthesis=synthesis,
-                               residual=float(residual))
+        return ObliqueDualPair(analysis=analysis, synthesis=synthesis)
     except Exception as exc:
         raise ParseError(f"invalid dual pair: {exc}") from exc
 

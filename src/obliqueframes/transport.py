@@ -328,18 +328,16 @@ def _flow_coupling(mu: DiscreteMeasure, nu: DiscreteMeasure,
 
 @dataclass(frozen=True)
 class TriCoupling:
-    """Joint measure on triples (x, y, z) with declared pair marginals.
+    """Joint measure on triples (x, y, z).
 
-    Built by glue, whose construction makes the xy- and yz-marginals equal
-    the declared couplings; they are not re-checked here.
+    Built by glue, whose construction makes the xy- and yz-marginals the
+    two glued couplings; they are neither stored nor re-checked here.
     """
 
     x: np.ndarray
     y: np.ndarray
     z: np.ndarray
     weights: np.ndarray
-    gamma_xy: Coupling
-    gamma_yz: Coupling
 
     def __post_init__(self):
         for name in ("x", "y", "z"):
@@ -353,19 +351,19 @@ class TriCoupling:
         return Coupling(self.x, self.z, self.weights)
 
 
-def glue(gamma_xy: Coupling, gamma_yz: Coupling) -> TriCoupling:
+def glue(xy: Coupling, yz: Coupling) -> TriCoupling:
     """Compose two couplings over their shared middle marginal.
 
     Conditional independence given the shared atom: each y of positive mass
-    contributes triples weighted gamma_xy(x,y) * gamma_yz(y,z) / mass(y).
+    contributes triples weighted xy(x,y) * yz(y,z) / mass(y).
     Middle atoms are matched by match_atoms, and each matched group must
     carry the same mass on both sides.  Triples come grouped by first
-    appearance in gamma_xy.y, then by pair index on each side.
+    appearance in xy.y, then by pair index on each side.
     """
-    if gamma_xy.y.shape[1] != gamma_yz.x.shape[1]:
+    if xy.y.shape[1] != yz.x.shape[1]:
         raise DimensionMismatch("the shared marginals live in different spaces")
-    wa, wb = gamma_xy.weights, gamma_yz.weights
-    labels, _, net = match_atoms(np.vstack([gamma_xy.y, gamma_yz.x]),
+    wa, wb = xy.weights, yz.weights
+    labels, _, net = match_atoms(np.vstack([xy.y, yz.x]),
                                  np.concatenate([wa, -wb]))
     bad = np.flatnonzero(np.abs(net) > MARGINAL_TOL)
     if bad.size:
@@ -384,5 +382,5 @@ def glue(gamma_xy: Coupling, gamma_yz: Coupling) -> TriCoupling:
     count = np.searchsorted(right[b], left[a], side="right") - lo
     aa = np.repeat(a, count)
     bb = b[np.repeat(lo - np.cumsum(count) + count, count) + np.arange(aa.size)]
-    return TriCoupling(gamma_xy.x[aa], gamma_xy.y[aa], gamma_yz.y[bb],
-                       wa[aa] * wb[bb] / mass[left[aa]], gamma_xy, gamma_yz)
+    return TriCoupling(xy.x[aa], xy.y[aa], yz.y[bb],
+                       wa[aa] * wb[bb] / mass[left[aa]])

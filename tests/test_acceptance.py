@@ -120,8 +120,7 @@ def test_criterion_02_canonical_duals_are_sharp(random_suite,
         assert abs(dual_p_potential(pair, 2.0).value - W.dim) <= 1e-9
         mu = uniform_atoms(F.vectors)
         nu, gamma = canonical_dual_measure(mu, W, V)
-        bounds = classify_probabilistic_frame(mu, W).bounds
-        rep = pf_dual_potential(mu, nu, "pushforward", bounds, gamma)
+        rep = pf_dual_potential(mu, nu, "pushforward", gamma)
         assert abs(rep.value - W.dim) <= 1e-9
 
     rng = np.random.default_rng(SUITE_SEED + 2)
@@ -131,8 +130,7 @@ def test_criterion_02_canonical_duals_are_sharp(random_suite,
         mu = uniform_atoms(F.vectors)
         T = atom_table_map(rng, mu, W, V)
         nu = pushforward(mu, T)
-        bounds = classify_probabilistic_frame(mu, W).bounds
-        rep = pf_dual_potential(mu, nu, "pushforward", bounds)
+        rep = pf_dual_potential(mu, nu, "pushforward")
         assert rep.value - W.dim > 1e-6
     _report(2, "canonical duals hit the dimension bound (1e-9); 50+50 "
                "non-canonical duals exceed it by more than 1e-6")
@@ -193,7 +191,7 @@ def test_criterion_05_weighted_dimension_bound():
     mu = mercedes_benz_measure()
     R2 = full_space(2)
     nu, gamma = canonical_dual_measure(mu, R2, R2)
-    rep = pf_dual_potential(mu, nu, "general", (0.5, 0.5), gamma)
+    rep = pf_dual_potential(mu, nu, "general", gamma)
     assert abs(rep.value - 2.0) < 1e-12
     assert abs(rep.lower_bound - 2.0) < 1e-12
     assert rep.saturated
@@ -215,7 +213,7 @@ def test_criterion_05_weighted_dimension_bound():
             T = atom_table_map(rng, mu, W, V, scale=0.5)
             gamma = graph_coupling(mu, T)
             nu = pushforward(mu, T)
-        rep = pf_dual_potential(mu, nu, "general", (lo, hi), gamma)
+        rep = pf_dual_potential(mu, nu, "general", gamma)
         assert rep.gap >= -1e-9
         assert rep.gap > 1e-6
         assert not rep.saturated
@@ -370,8 +368,7 @@ def test_criterion_10_cross_module_consistency(random_suite):
         nu_p = DiscreteMeasure(pts, nu.weights)
         gamma_p = Coupling(gamma.x, pts, gamma.weights)
         rep_p = approx_dual_residual(mu, nu_p, gamma_p, W, V)
-        b_nu = classify_probabilistic_frame(nu_p, V).bounds[1]
-        to_cons, to_approx = consistency_conversions(rep_p, b_nu, nu_p, W, V)
+        to_cons, to_approx = consistency_conversions(rep_p, nu_p, W, V)
         assert rep_p.consistency_bound <= to_cons + 1e-9
         assert rep_p.epsilon_residual <= to_approx + 1e-9
     _report(10, "exact duals have residual below 1e-12 through the "

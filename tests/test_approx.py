@@ -114,8 +114,7 @@ class TestConsistencyConversions:
         mu, nu, gamma = skew_line_measures()
         W, V = skew_line_subspaces()
         rep = approx_dual_residual(mu, nu, gamma, W, V)
-        b_nu = classify_probabilistic_frame(nu, V).bounds[1]
-        to_cons, to_approx = consistency_conversions(rep, b_nu, nu, W, V)
+        to_cons, to_approx = consistency_conversions(rep, nu, W, V)
         assert to_cons <= 1e-11
         assert to_approx <= 1e-10
 
@@ -123,8 +122,7 @@ class TestConsistencyConversions:
         mu, nu_shift, gamma = perturbed_skew_line()
         W, V = skew_line_subspaces()
         rep = approx_dual_residual(mu, nu_shift, gamma, W, V)
-        b_nu = classify_probabilistic_frame(nu_shift, V).bounds[1]
-        to_cons, to_approx = consistency_conversions(rep, b_nu, nu_shift, W, V)
+        to_cons, to_approx = consistency_conversions(rep, nu_shift, W, V)
         assert rep.consistency_bound <= to_cons + 1e-9
         assert rep.epsilon_residual <= to_approx + 1e-9
 
@@ -156,8 +154,7 @@ class TestConsistencyConversions:
         nu_p = DiscreteMeasure(pts, nu.weights)
         gamma_p = Coupling(gamma.x, pts, gamma.weights)
         rep = approx_dual_residual(mu, nu_p, gamma_p, W, V)
-        b_nu = classify_probabilistic_frame(nu_p, V).bounds[1]
-        to_cons, to_approx = consistency_conversions(rep, b_nu, nu_p, W, V)
+        to_cons, to_approx = consistency_conversions(rep, nu_p, W, V)
         assert rep.consistency_bound <= to_cons + 1e-9
         assert rep.epsilon_residual <= to_approx + 1e-9
 

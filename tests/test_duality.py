@@ -7,6 +7,7 @@ from obliqueframes import (
     DiscreteMeasure,
     MarginalMismatch,
     NotADual,
+    NotAFrame,
     canonical_dual_map,
     canonical_dual_measure,
     canonical_oblique_dual,
@@ -218,7 +219,7 @@ class TestPushforwardDualMap:
         for x in mu.points:
             assert np.allclose(T(x), T0 @ x, atol=1e-12)
         nu = pushforward(mu, T)
-        rep = pf_dual_potential(mu, nu, "pushforward", (0.5, 0.5))
+        rep = pf_dual_potential(mu, nu, "pushforward")
         assert rep.value == pytest.approx(2.0, abs=1e-12)
 
     def test_nonlinear_h_gives_a_dual_with_larger_potential(self):
@@ -229,7 +230,7 @@ class TestPushforwardDualMap:
         nu = pushforward(mu, T)
         ok, _ = is_oblique_dual_measure(mu, nu, gamma)
         assert ok
-        rep = pf_dual_potential(mu, nu, "pushforward", (0.5, 0.5))
+        rep = pf_dual_potential(mu, nu, "pushforward")
         assert rep.value > 2.0 + 1e-6
 
     def test_centered_h_needs_no_correction(self):
@@ -351,14 +352,14 @@ class TestPfDualPotential:
         mu = mercedes_benz_measure()
         R2 = full_space(2)
         nu, gamma = canonical_dual_measure(mu, R2, R2)
-        rep = pf_dual_potential(mu, nu, "general", (0.5, 0.5), gamma)
+        rep = pf_dual_potential(mu, nu, "general", gamma)
         assert rep.value == pytest.approx(2.0, abs=1e-12)
         assert rep.lower_bound == pytest.approx(2.0)
         assert rep.saturated
 
     def test_skew_line_product_dual_is_not_saturated(self):
         mu, nu, gamma = skew_line_measures()
-        rep = pf_dual_potential(mu, nu, "general", (1.0, 1.0), gamma)
+        rep = pf_dual_potential(mu, nu, "general", gamma)
         assert rep.value == pytest.approx(2.0, abs=1e-12)
         assert rep.lower_bound == pytest.approx(1.0)
         assert not rep.saturated
@@ -367,7 +368,7 @@ class TestPfDualPotential:
         W, V = skew_line_subspaces()
         mu = dirac([1.0, 0.0])
         nu, gamma = canonical_dual_measure(mu, W, V)
-        rep = pf_dual_potential(mu, nu, "pushforward", (1.0, 1.0), gamma)
+        rep = pf_dual_potential(mu, nu, "pushforward", gamma)
         assert rep.value == pytest.approx(1.0, abs=1e-12)
         assert rep.saturated
 
@@ -376,7 +377,14 @@ class TestPfDualPotential:
         nu_bad = DiscreteMeasure([[1.0, 1.0], [-1.0, -1.0]], [0.5, 0.5])
         gamma = product_coupling(mu, nu_bad)
         with pytest.raises(NotADual):
-            pf_dual_potential(mu, nu_bad, "general", (1.0, 1.0), gamma)
+            pf_dual_potential(mu, nu_bad, "general", gamma)
+
+    @pytest.mark.parametrize("mode", ["pushforward", "general"])
+    def test_first_measure_must_be_a_frame_on_its_span(self, mode):
+        # support_span keeps the 1e-10 direction; the frame test does not.
+        mu = DiscreteMeasure([[1.0, 0.0], [0.0, 1e-10]], [0.5, 0.5])
+        with pytest.raises(NotAFrame):
+            pf_dual_potential(mu, mu, mode)
 
     @given(st.integers(0, 2_000))
     def test_pushforward_gap_vanishes_exactly_at_canonical(self, seed):
@@ -386,8 +394,7 @@ class TestPfDualPotential:
             nu = linear_pushforward(mu, T0)
         else:
             nu = pushforward(mu, random_table_dual_map(rng, mu, W, V))
-        bounds = classify_probabilistic_frame(mu, W).bounds
-        rep = pf_dual_potential(mu, nu, "pushforward", bounds)
+        rep = pf_dual_potential(mu, nu, "pushforward")
         assert rep.gap >= -1e-9
         dist = float(np.max(np.abs(nu.points - mu.points @ T0.T)))
         if rep.gap <= 1e-9:

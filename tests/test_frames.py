@@ -7,6 +7,7 @@ from obliqueframes import (
     DiscreteMeasure,
     FiniteFrame,
     NotAFrame,
+    ObliqueDualPair,
     RangeViolation,
     canonical_dual_measure,
     canonical_oblique_dual,
@@ -123,6 +124,15 @@ class TestCanonicalObliqueDual:
 
 
 class TestIsObliqueDual:
+    def test_a_pair_computes_its_own_residual(self):
+        Fw, _ = skew_line_frames()
+        _, V = skew_line_subspaces()
+        Fv = FiniteFrame.create([[2.0, 2.0]], V)
+        pair = ObliqueDualPair(analysis=Fv, synthesis=Fw)
+        assert pair.residual == pytest.approx(np.sqrt(2.0), abs=1e-12)
+        with pytest.raises(TypeError):
+            ObliqueDualPair(analysis=Fv, synthesis=Fw, residual=0.0)
+
     def test_skew_line_pair(self):
         Fw, Fv = skew_line_frames()
         ok, resid = is_oblique_dual(Fw, Fv)

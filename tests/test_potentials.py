@@ -82,8 +82,9 @@ class TestDualPotential:
 
     def test_unverified_pair_is_rejected(self):
         pair = mercedes_benz_pair()
-        bad = ObliqueDualPair(analysis=pair.analysis,
-                              synthesis=pair.synthesis, residual=1.0)
+        doubled = FiniteFrame.create(2.0 * pair.analysis.vectors,
+                                     pair.analysis.subspace)
+        bad = ObliqueDualPair(analysis=doubled, synthesis=pair.synthesis)
         with pytest.raises(NotADual):
             dual_p_potential(bad, 2.0)
 
@@ -130,7 +131,7 @@ class TestDiagonalPotential:
 
     def test_skew_line_single_vector(self):
         Fw, Fv = skew_line_frames()
-        pair = ObliqueDualPair(analysis=Fv, synthesis=Fw, residual=0.0)
+        pair = ObliqueDualPair(analysis=Fv, synthesis=Fw)
         rep = diagonal_potential(pair, 2.0)
         assert rep.value == pytest.approx(1.0, abs=1e-12)
         assert rep.lower_bound == 1.0

@@ -658,3 +658,51 @@ class TestMinimizeRanges:
         assert run_cli("minimize", fixture("mercedes_benz_frame.json"),
                        fixture("plane.json"), "--max-iters", "50", *extra) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
+
+
+class TestDerivedNotDeclared:
+    """A pair's residual is computed from its frames, never read from its
+    file, so a forged pair cannot pass as a dual."""
+
+    @pytest.mark.parametrize("argv", [["potential"],
+                                      ["potential", "--diagonal"],
+                                      ["coherence"]],
+                             ids=["potential", "diagonal", "coherence"])
+    def test_a_non_dual_pair_exits_2(self, tmp_path, capsys, argv):
+        pair = doubled_mercedes_benz_pair(tmp_path)
+        assert run_cli(argv[0], pair, *argv[1:]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: pair residual 1.000e+00 exceeds tolerance 1.0e-09\n"
+
+    def test_a_declared_residual_is_recomputed(self, tmp_path):
+        from obliqueframes.frames import dual_residual
+
+        with open(fixture("skew_line_pair.json")) as fh:
+            obj = json.load(fh)
+        obj["residual"] = 0.5
+        pair = parse_fixture(write_json(tmp_path, "p.json", obj), "pair")
+        assert pair.residual == dual_residual(pair.synthesis, pair.analysis)
+        assert pair.residual < 1e-12
+
+
+def test_cli_uses_no_private_name_of_another_module():
+    import ast
+    import inspect
+
+    from obliqueframes import cli
+
+    tree = ast.parse(inspect.getsource(cli))
+    modules, private = set(), []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            if node.module is None:
+                modules.update(a.asname or a.name for a in node.names)
+            else:
+                private += [f"{node.module}.{a.name}" for a in node.names
+                            if a.name.startswith("_")]
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in modules and node.attr.startswith("_")):
+            private.append(f"{node.value.id}.{node.attr}")
+    assert modules and private == []
