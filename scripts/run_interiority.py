@@ -9,18 +9,20 @@ CSV row per trial and a JSON summary per (fixture, eps) cell.
 Usage: python scripts/run_interiority.py [--trials N] [--seed S] [--outdir DIR]
 """
 import argparse
-import json
 import os
 import sys
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from obliqueframes import dirac, interiority_experiment  # noqa: E402
-from obliqueframes.cli import write_interiority_csv  # noqa: E402
 from obliqueframes.gallery import (  # noqa: E402
     full_space,
     mercedes_benz_measure,
     skew_line_subspaces,
+)
+from obliqueframes.serialize import (  # noqa: E402
+    serialize_fixture,
+    write_interiority_csv,
 )
 
 
@@ -62,8 +64,7 @@ def main():
                   f"failures={summary.failures} "
                   f"max_actual={summary.max_epsilon_actual:.4g}  [{status}]")
 
-    with open(os.path.join(args.outdir, "summary.json"), "w") as fh:
-        json.dump(summaries, fh, indent=2)
+    serialize_fixture(summaries, os.path.join(args.outdir, "summary.json"))
     return 0 if all(s["failures"] == 0 for s in summaries) else 1
 
 

@@ -26,7 +26,6 @@ from .errors import (
     DimensionMismatch,
     HypothesisViolated,
     InternalConsistencyError,
-    NotADual,
 )
 from .linalg import (
     DEFAULT_TOL,
@@ -35,6 +34,7 @@ from .linalg import (
     dual_operator,
     oblique_projection,
     psd_sqrt,
+    require_dual,
     spectral_norm,
 )
 from .measures import (
@@ -129,9 +129,8 @@ class _ExactDual:
                 gamma_dual: Coupling, tol: Tolerance) -> "_ExactDual":
         W = support_span(mu)
         V = support_span(nu)
-        ok, resid, pi_wv = _dual_certificate(mu, nu, gamma_dual, W, V, tol)
-        if not ok:
-            raise NotADual(f"dual certificate residual {resid:.3e} too large")
+        resid, pi_wv = _dual_certificate(mu, nu, gamma_dual, W, V)
+        require_dual(resid, tol, "dual certificate")
         return cls(
             gamma_dual=gamma_dual,
             c_upper=_require_frame(mu, W, tol, "the measure")[1],

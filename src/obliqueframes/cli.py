@@ -1,13 +1,13 @@
 """Command-line interface.
 
-Every verb reads JSON fixtures, runs one library operation, and emits a
-JSON report to stdout or --out (written atomically).  Validation errors
-exit 2, violated hypotheses 3, non-convergence 4, internal inconsistency 5.
+Every verb reads JSON fixtures, runs one library operation, and hands its
+report to serialize, which writes it to stdout or --out (atomically).
+Validation and I/O errors exit 2, violated hypotheses 3, non-convergence 4,
+internal inconsistency 5.
 """
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import sys
 
@@ -15,17 +15,8 @@ from . import approx as approx_mod
 from . import duality, frames, measures, potentials, transport
 from .errors import (FrameError, HypothesisViolated, InternalConsistencyError,
                      NonConvergence)
-from .linalg import DEFAULT_TOL, Tolerance, tight_and_parseval
-from .serialize import (
-    coupling_to_obj,
-    dumps_canonical,
-    frame_to_obj,
-    measure_to_obj,
-    pair_to_obj,
-    parse_fixture,
-    tricoupling_to_obj,
-    write_atomic,
-)
+from .linalg import DEFAULT_TOL, Tolerance, is_dual_residual, tight_and_parseval
+from .serialize import parse_fixture, serialize_fixture, write_interiority_csv
 
 EXIT_VALIDATION = 2
 EXIT_HYPOTHESIS = 3
@@ -33,23 +24,10 @@ EXIT_NONCONVERGENCE = 4
 EXIT_INTERNAL = 5
 
 
-def _emit(args, report: dict):
-    text = dumps_canonical(report)
-    if args.out:
-        write_atomic(text, args.out)
-    else:
+def _emit(args, report):
+    text = serialize_fixture(report, args.out or None)
+    if not args.out:
         sys.stdout.write(text)
-
-
-def _potential_obj(rep: potentials.PotentialReport) -> dict:
-    return {
-        "p": rep.p,
-        "value": rep.value,
-        "lower_bound": rep.lower_bound,
-        "gap": rep.gap,
-        "saturated": rep.saturated,
-        "saturation_tol": rep.saturation_tol,
-    }
 
 
 def cmd_frame_info(args):
@@ -60,7 +38,7 @@ def cmd_frame_info(args):
         "ambient_dim": frame.subspace.ambient_dim,
         "num_vectors": len(frame),
         "subspace_dim": frame.subspace.dim,
-        "frame_operator": frames.frame_operator(frame).tolist(),
+        "frame_operator": frames.frame_operator(frame),
         "lower_bound": lo,
         "upper_bound": hi,
         "tight": tight,
@@ -71,13 +49,12 @@ def cmd_frame_info(args):
 def cmd_oblique_dual(args):
     frame = parse_fixture(args.frame, "frame", args.tol)
     V = parse_fixture(args.sampling_subspace, "subspace")
-    pair = frames.canonical_oblique_dual(frame, V, args.tol)
-    _emit(args, pair_to_obj(pair))
+    _emit(args, frames.canonical_oblique_dual(frame, V, args.tol))
 
 
 def cmd_check_dual(args):
     pair = parse_fixture(args.pair, "pair", args.tol)
-    _emit(args, {"is_dual": pair.residual <= args.tol.eq_tol,
+    _emit(args, {"is_dual": is_dual_residual(pair.residual, args.tol),
                  "residual": pair.residual})
 
 
@@ -85,7 +62,7 @@ def cmd_potential(args):
     pair = parse_fixture(args.pair, "pair", args.tol)
     op = potentials.diagonal_potential if args.diagonal \
         else potentials.dual_p_potential
-    _emit(args, _potential_obj(op(pair, args.p, args.tol)))
+    _emit(args, op(pair, args.p, args.tol))
 
 
 def cmd_coherence(args):
@@ -97,18 +74,15 @@ def cmd_coherence(args):
         "welch_bound": rep.welch_bound,
         "diagonal_constant": rep.diagonal_constant,
         "saturated": rep.saturated,
-        "mixed_gram": G.tolist(),
-        "signature": None if Q is None else Q.tolist(),
+        "mixed_gram": G,
+        "signature": Q,
     })
 
 
 def cmd_etf_lift(args):
     frame = parse_fixture(args.frame, "frame", args.tol)
     psi, is_etf = potentials.etf_lift(frame, args.tol)
-    _emit(args, {
-        "lifted": frame_to_obj(psi),
-        "is_equiangular_tight": is_etf,
-    })
+    _emit(args, {"lifted": psi, "is_equiangular_tight": is_etf})
 
 
 def cmd_minimize(args):
@@ -123,7 +97,7 @@ def cmd_minimize(args):
     pair, trajectory = potentials.minimize_dual_potential(frame, V, args.p,
                                                           opts, args.tol)
     _emit(args, {
-        "pair": pair_to_obj(pair),
+        "pair": pair,
         "trajectory": [float(v) for v in trajectory],
         "iterations": len(trajectory) - 1,
     })
@@ -132,15 +106,7 @@ def cmd_minimize(args):
 def cmd_pf_classify(args):
     mu = parse_fixture(args.measure, "measure")
     W = parse_fixture(args.subspace, "subspace")
-    rep = measures.classify_probabilistic_frame(mu, W, args.tol)
-    _emit(args, {
-        "second_moment": rep.second_moment,
-        "frame_operator": rep.frame_operator.tolist(),
-        "is_frame": rep.is_frame,
-        "bounds": None if rep.bounds is None else list(rep.bounds),
-        "is_tight": rep.is_tight,
-        "is_parseval": rep.is_parseval,
-    })
+    _emit(args, measures.classify_probabilistic_frame(mu, W, args.tol))
 
 
 def cmd_pf_dual(args):
@@ -148,10 +114,7 @@ def cmd_pf_dual(args):
     W = parse_fixture(args.synthesis_subspace, "subspace")
     V = parse_fixture(args.sampling_subspace, "subspace")
     nu, gamma = duality.canonical_dual_measure(mu, W, V, args.tol)
-    _emit(args, {
-        "dual": measure_to_obj(nu),
-        "coupling": coupling_to_obj(gamma),
-    })
+    _emit(args, {"dual": nu, "coupling": gamma})
 
 
 def cmd_pf_check(args):
@@ -166,30 +129,20 @@ def cmd_pf_potential(args):
     mu = parse_fixture(args.mu, "measure")
     nu = parse_fixture(args.nu, "measure")
     gamma = parse_fixture(args.coupling, "coupling") if args.coupling else None
-    rep = duality.pf_dual_potential(mu, nu, args.mode, gamma, args.tol)
-    _emit(args, _potential_obj(rep))
+    _emit(args, duality.pf_dual_potential(mu, nu, args.mode, gamma, args.tol))
 
 
 def cmd_w2(args):
     mu = parse_fixture(args.mu, "measure")
     nu = parse_fixture(args.nu, "measure")
     dist, gamma, cert = transport.exact_w2(mu, nu)
-    _emit(args, {
-        "distance": dist,
-        "certificate": {
-            "cost": cert.cost,
-            "dual_gap": cert.dual_gap,
-            "iterations": cert.iterations,
-        },
-        "coupling": coupling_to_obj(gamma),
-    })
+    _emit(args, {"distance": dist, "certificate": cert, "coupling": gamma})
 
 
 def cmd_glue(args):
     g12 = parse_fixture(args.coupling_xy, "coupling")
     g23 = parse_fixture(args.coupling_yz, "coupling")
-    tri = transport.glue(g12, g23)
-    _emit(args, tricoupling_to_obj(tri))
+    _emit(args, transport.glue(g12, g23))
 
 
 def cmd_approx_check(args):
@@ -198,11 +151,7 @@ def cmd_approx_check(args):
     gamma = parse_fixture(args.coupling, "coupling")
     W = parse_fixture(args.synthesis_subspace, "subspace")
     V = parse_fixture(args.sampling_subspace, "subspace")
-    rep = approx_mod.approx_dual_residual(mu, nu, gamma, W, V)
-    _emit(args, {
-        "epsilon_residual": rep.epsilon_residual,
-        "consistency_bound": rep.consistency_bound,
-    })
+    _emit(args, approx_mod.approx_dual_residual(mu, nu, gamma, W, V))
 
 
 def cmd_perturb(args):
@@ -218,21 +167,8 @@ def cmd_perturb(args):
         "a_lower": cert.a_lower,
         "epsilon_claimed": cert.epsilon_claimed,
         "epsilon_actual": cert.epsilon_actual,
-        "coupling": coupling_to_obj(cert.glued_coupling),
+        "coupling": cert.glued_coupling,
     })
-
-
-def write_interiority_csv(path: str, summary: approx_mod.InteriorityReport):
-    """One CSV row per interiority trial, floats with 17 significant digits."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["trial", "lambda", "eps_claimed", "eps_actual",
-                         "pass"])
-        for r in summary.records:
-            writer.writerow([r.trial, f"{r.lam:.17g}",
-                             f"{r.eps_claimed:.17g}",
-                             f"{r.eps_actual:.17g}",
-                             int(r.passed)])
 
 
 def cmd_interiority(args):
@@ -405,7 +341,7 @@ def main(argv=None) -> int:
     except NonConvergence as exc:
         print(f"did not converge: {exc}", file=sys.stderr)
         return EXIT_NONCONVERGENCE
-    except (FrameError, ValueError) as exc:
+    except (FrameError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except InternalConsistencyError as exc:

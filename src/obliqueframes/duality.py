@@ -22,7 +22,6 @@ from .errors import (
     DimensionMismatch,
     InternalConsistencyError,
     MarginalMismatch,
-    NotADual,
     NotAFrame,
     RangeViolation,
 )
@@ -31,8 +30,10 @@ from .linalg import (
     Subspace,
     Tolerance,
     dual_operator,
+    is_dual_residual,
     oblique_projection,
     orthonormal_basis,
+    require_dual,
     spectral_norm,
     tight_and_parseval,
 )
@@ -97,19 +98,19 @@ def is_oblique_dual_measure(mu: DiscreteMeasure, nu: DiscreteMeasure,
     spectral distance between the coupling's mixed moment and the oblique
     projection.
     """
-    return _dual_certificate(mu, nu, gamma, support_span(mu),
-                             support_span(nu), tol)[:2]
+    resid, _ = _dual_certificate(mu, nu, gamma, support_span(mu),
+                                 support_span(nu))
+    return is_dual_residual(resid, tol), resid
 
 
 def _dual_certificate(mu: DiscreteMeasure, nu: DiscreteMeasure,
-                      gamma: Coupling, W: Subspace, V: Subspace,
-                      tol: Tolerance) -> tuple[bool, float, np.ndarray]:
-    """is_oblique_dual_measure with the spans W of mu and V of nu given;
-    also returns the oblique projection the residual was measured against."""
+                      gamma: Coupling, W: Subspace, V: Subspace
+                      ) -> tuple[float, np.ndarray]:
+    """The residual of is_oblique_dual_measure with the spans W of mu and V
+    of nu given, and the oblique projection it was measured against."""
     _validate_coupling(gamma, mu, nu)
     pi_wv = oblique_projection(W, V)
-    residual = spectral_norm(gamma.moment_matrix() - pi_wv)
-    return residual <= tol.eq_tol, float(residual), pi_wv
+    return spectral_norm(gamma.moment_matrix() - pi_wv), pi_wv
 
 
 def pushforward_dual_map(mu: DiscreteMeasure, W: Subspace, V: Subspace, h,
@@ -144,8 +145,7 @@ def transfer_dual_to_K(nu: DiscreteMeasure, gamma: Coupling, W: Subspace,
         raise MarginalMismatch("coupling's second marginal is not the given measure")
     moment = gamma.moment_matrix()
     pw = W.basis @ W.basis.T
-    if spectral_norm(moment @ pw - pw) > tol.eq_tol:
-        raise NotADual("the coupling does not reconstruct the synthesis subspace")
+    require_dual(spectral_norm(moment @ pw - pw), tol, "reconstruction")
     pi_kw = oblique_projection(K, W)
     nu_k = pushforward(nu, lambda y: pi_kw @ y)
     return nu_k, Coupling(gamma.x, gamma.y @ pi_kw.T, gamma.weights)
@@ -187,9 +187,8 @@ def pf_dual_potential(mu: DiscreteMeasure, nu: DiscreteMeasure, mode: str,
     lo, hi = _require_frame(mu, W, tol, "the first measure")
     V = support_span(nu)
     if coupling is not None:
-        ok, resid, _ = _dual_certificate(mu, nu, coupling, W, V, tol)
-        if not ok:
-            raise NotADual(f"certificate residual {resid:.3e} too large")
+        require_dual(_dual_certificate(mu, nu, coupling, W, V)[0], tol,
+                     "certificate")
     if mu.ambient_dim != nu.ambient_dim:
         raise DimensionMismatch(f"the first measure lives in R^{mu.ambient_dim}, "
                                 f"the second in R^{nu.ambient_dim}")

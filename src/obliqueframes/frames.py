@@ -21,6 +21,7 @@ from .linalg import (
     _as_float_array,
     _freeze,
     dual_operator,
+    is_dual_residual,
     oblique_projection,
     restricted_spectrum,
     spectral_norm,
@@ -112,7 +113,7 @@ def is_oblique_dual(Fw: FiniteFrame, Fv: FiniteFrame,
                     tol: Tolerance = DEFAULT_TOL) -> tuple[bool, float]:
     """Check whether Fv is an oblique dual of Fw on its subspace."""
     resid = ObliqueDualPair(analysis=Fv, synthesis=Fw).residual
-    return resid <= tol.eq_tol, resid
+    return is_dual_residual(resid, tol), resid
 
 
 def _dual_pair(F: FiniteFrame, analysis_vecs: np.ndarray, V: Subspace,

@@ -1,8 +1,9 @@
 """Dense real linear algebra primitives.
 
 Orthonormalization, Moore-Penrose pseudoinverses, principal subspace
-angles, orthogonal/oblique projections, the dual operator composing them
-and the one frame test, restricted_spectrum, all on plain numpy arrays.
+angles, orthogonal/oblique projections, the dual operator composing them,
+the one frame test, restricted_spectrum, and the one dual decision,
+is_dual_residual, all on plain numpy arrays.
 Everything here is a pure function of immutable inputs; arrays stored on
 dataclasses are marked read-only.
 """
@@ -12,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AllZero, DimensionMismatch, DirectSumViolation
+from .errors import AllZero, DimensionMismatch, DirectSumViolation, NotADual
 
 # Orthonormality slack allowed on a stored Subspace basis.
 ORTH_TOL = 1e-10
@@ -135,6 +136,20 @@ def tight_and_parseval(lo: float, hi: float, tol: Tolerance) -> tuple[bool, bool
     """Tight: bounds within eq_tol; Parseval: also the upper one of 1."""
     tight = bool(hi - lo <= tol.eq_tol)
     return tight, tight and abs(hi - 1.0) <= tol.eq_tol
+
+
+def is_dual_residual(residual: float, tol: Tolerance) -> bool:
+    """The one dual decision: a duality residual (a mixed moment against
+    the oblique projection pi_{W,V}) certifies duality when it is at most
+    eq_tol."""
+    return bool(residual <= tol.eq_tol)
+
+
+def require_dual(residual: float, tol: Tolerance, what: str = "pair"):
+    """Raise NotADual when is_dual_residual refuses the residual of `what`."""
+    if not is_dual_residual(residual, tol):
+        raise NotADual(f"{what} residual {residual:.3e} exceeds tolerance "
+                       f"{tol.eq_tol:.1e}")
 
 
 def subspace_angle_cos(W: Subspace, V: Subspace) -> float:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import HypothesisViolated, InternalConsistencyError, NonConvergence, NotADual
+from .errors import HypothesisViolated, InternalConsistencyError, NonConvergence
 from .frames import FiniteFrame, ObliqueDualPair, _FamilyGeometry, frame_operator
 from .linalg import (
     DEFAULT_TOL,
@@ -21,6 +21,7 @@ from .linalg import (
     Tolerance,
     orthogonal_projection,
     psd_pinv_sqrt,
+    require_dual,
     spectral_norm,
 )
 
@@ -51,13 +52,6 @@ class CoherenceReport:
     saturation_tol: float = SATURATION_TOL
 
 
-def _check_dual(pair: ObliqueDualPair, tol: Tolerance):
-    if pair.residual > tol.eq_tol:
-        raise NotADual(
-            f"pair residual {pair.residual:.3e} exceeds tolerance {tol.eq_tol:.1e}"
-        )
-
-
 def _is_even_order(p: float) -> bool:
     return p > 0 and abs(p - round(p)) < 1e-12 and round(p) % 2 == 0
 
@@ -74,7 +68,7 @@ def dual_p_potential(pair: ObliqueDualPair, p: float = 2.0,
     The bound is d_W for p = 2 and N^(2-p) d_W^(p/2) for even p; for other
     p only the value is reported.
     """
-    _check_dual(pair, tol)
+    require_dual(pair.residual, tol)
     if not p > 0:
         raise ValueError("potential order p must be positive")
     G = mixed_gram_entries(pair)
@@ -95,7 +89,7 @@ def diagonal_potential(pair: ObliqueDualPair, p: float = 2.0,
     Bounded below by d_W^2/N for p = 2 and N^(1-p) d_W^p for even p;
     saturated exactly when every diagonal entry equals d_W/N.
     """
-    _check_dual(pair, tol)
+    require_dual(pair.residual, tol)
     if not p > 0:
         raise ValueError("potential order p must be positive")
     diag = np.einsum("ij,ij->i", pair.synthesis.vectors, pair.analysis.vectors)
@@ -136,7 +130,7 @@ def mixed_coherence(pair: ObliqueDualPair,
     Requires a constant mixed-Gram diagonal; raises HypothesisViolated
     otherwise, since the bound is only valid under that hypothesis.
     """
-    _check_dual(pair, tol)
+    require_dual(pair.residual, tol)
     G = mixed_gram_entries(pair)
     N = G.shape[0]
     d = pair.synthesis.subspace.dim
@@ -166,7 +160,7 @@ def mixed_gram(pair: ObliqueDualPair,
     (d_W/N)(I + c Q) with Q symmetric, hollow, and entrywise +-1; Q is
     returned in that case and checked, otherwise None.
     """
-    _check_dual(pair, tol)
+    require_dual(pair.residual, tol)
     G = mixed_gram_entries(pair)
     N = G.shape[0]
     d = pair.synthesis.subspace.dim

@@ -1,17 +1,24 @@
-"""Canonical JSON fixtures and reports.
+"""Canonical JSON fixtures and reports, and the interiority CSV.
 
-All numbers are written with 17 significant digits so that parsing and
-re-serializing a canonical file is byte-identical and floats round-trip
-exactly.  Parse failures raise ParseError naming the offending field.
+This module owns every schema the CLI writes: typed fixtures through their
+*_to_obj functions, report dataclasses by their fields in declaration
+order, and the per-trial interiority CSV.  All numbers are written with 17
+significant digits so that parsing and re-serializing a canonical file is
+byte-identical and floats round-trip exactly.  Parse failures raise
+ParseError naming the offending field.
 """
 from __future__ import annotations
 
+import csv
+import dataclasses
+import io
 import json
 import os
 import tempfile
 
 import numpy as np
 
+from .approx import InteriorityReport
 from .errors import ParseError
 from .frames import FiniteFrame, ObliqueDualPair
 from .linalg import Subspace, DEFAULT_TOL, Tolerance
@@ -52,6 +59,12 @@ def _emit(obj, indent: int) -> str:
             for k, v in obj.items()
         )
         return "{\n" + inner + "\n" + pad + "}"
+    to_obj = _SERIALIZERS.get(type(obj))
+    if to_obj is not None:
+        return _emit(to_obj(obj), indent)
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        return _emit({f.name: getattr(obj, f.name)
+                      for f in dataclasses.fields(obj)}, indent)
     raise TypeError(f"cannot serialize objects of type {type(obj).__name__}")
 
 
@@ -63,7 +76,10 @@ def write_atomic(text: str, path: str):
     """Write via a sibling temp file and rename, so readers never see a
     half-written report."""
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    try:
+        fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    except OSError as exc:  # name the report, not the temp file
+        raise OSError(exc.errno, exc.strerror, path) from None
     try:
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
@@ -269,13 +285,21 @@ def parse_fixture(path: str, kind: str, tol: Tolerance = DEFAULT_TOL):
 
 
 def serialize_fixture(value, path: str | None = None) -> str:
-    """Render a typed value in canonical JSON; optionally write atomically."""
-    for klass, to_obj in _SERIALIZERS.items():
-        if isinstance(value, klass):
-            text = dumps_canonical(to_obj(value))
-            break
-    else:
-        text = dumps_canonical(value)  # plain report dictionaries
+    """Render a typed value, a report dataclass, or plain containers of
+    them in canonical JSON; optionally write atomically."""
+    text = dumps_canonical(value)
     if path is not None:
         write_atomic(text, path)
     return text
+
+
+def write_interiority_csv(path: str, summary: InteriorityReport):
+    """One CSV row per interiority trial, floats with 17 significant digits,
+    written atomically like every report."""
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(["trial", "lambda", "eps_claimed", "eps_actual", "pass"])
+    writer.writerows([r.trial, f"{r.lam:.17g}", f"{r.eps_claimed:.17g}",
+                      f"{r.eps_actual:.17g}", int(r.passed)]
+                     for r in summary.records)
+    write_atomic(buf.getvalue(), path)

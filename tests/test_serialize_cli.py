@@ -8,12 +8,20 @@ import pytest
 
 import obliqueframes
 from obliqueframes import ParseError, transport
+from obliqueframes.approx import (ApproxDualReport, InteriorityReport,
+                                  InteriorityTrial)
 from obliqueframes.cli import main
+from obliqueframes.measures import MeasureFrameReport
+from obliqueframes.potentials import PotentialReport
 from obliqueframes.serialize import (
+    coupling_to_obj,
+    dumps_canonical,
     measure_from_obj,
     parse_fixture,
     serialize_fixture,
+    write_interiority_csv,
 )
+from obliqueframes.transport import TransportCertificate
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
 
@@ -502,13 +510,14 @@ class TestArgumentRanges:
         assert load_report(out)["iterations"] == 0
 
 
-def doubled_mercedes_benz_pair(tmp_path):
-    """The Mercedes-Benz pair with its analysis vectors doubled: residual 1."""
+def scaled_mercedes_benz_pair(tmp_path, factor=2.0):
+    """The Mercedes-Benz pair with its analysis vectors scaled by factor:
+    residual |factor - 1| (1 when doubled)."""
     with open(fixture("mercedes_benz_pair.json")) as fh:
         pair = json.load(fh)
-    pair["analysis"]["vectors"] = [[2.0 * v for v in row]
+    pair["analysis"]["vectors"] = [[factor * v for v in row]
                                    for row in pair["analysis"]["vectors"]]
-    path = tmp_path / "doubled_pair.json"
+    path = tmp_path / "scaled_pair.json"
     path.write_text(json.dumps(pair))
     return str(path)
 
@@ -518,7 +527,7 @@ class TestOneTolerance:
     def test_tol_must_be_finite_and_positive(self, tmp_path, capsys, value):
         with pytest.raises(SystemExit) as exc:
             run_cli("--tol", value, "check-dual",
-                    doubled_mercedes_benz_pair(tmp_path))
+                    scaled_mercedes_benz_pair(tmp_path))
         assert exc.value.code == 2
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -526,7 +535,7 @@ class TestOneTolerance:
         assert len(lines) == 1 and "finite and positive" in lines[0]
 
     def test_infinite_tol_no_longer_certifies_a_non_dual(self, tmp_path, capsys):
-        pair = doubled_mercedes_benz_pair(tmp_path)
+        pair = scaled_mercedes_benz_pair(tmp_path)
         out = tmp_path / "r.json"
         assert run_cli("check-dual", pair, out=out) == 0
         report = load_report(out)
@@ -669,7 +678,7 @@ class TestDerivedNotDeclared:
                                       ["coherence"]],
                              ids=["potential", "diagonal", "coherence"])
     def test_a_non_dual_pair_exits_2(self, tmp_path, capsys, argv):
-        pair = doubled_mercedes_benz_pair(tmp_path)
+        pair = scaled_mercedes_benz_pair(tmp_path)
         assert run_cli(argv[0], pair, *argv[1:]) == 2
         out, err = capsys.readouterr()
         assert out == ""
@@ -706,3 +715,198 @@ def test_cli_uses_no_private_name_of_another_module():
                 and node.value.id in modules and node.attr.startswith("_")):
             private.append(f"{node.value.id}.{node.attr}")
     assert modules and private == []
+
+
+class TestOneDualDecision:
+    """check-dual, potential and coherence read one rule: a pair is a dual
+    exactly when its residual is within --tol."""
+
+    @pytest.mark.parametrize("tol,is_dual", [("1e-5", True), ("1e-7", False)])
+    def test_check_dual_agrees_with_the_verbs_that_need_a_dual(
+            self, tmp_path, capsys, tol, is_dual):
+        pair = scaled_mercedes_benz_pair(tmp_path, 1.0 + 1e-6)
+        assert run_cli("--tol", tol, "check-dual", pair) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert 1e-7 < report["residual"] < 1e-5
+        assert report["is_dual"] is is_dual
+        for verb in ("potential", "coherence"):
+            code = run_cli("--tol", tol, verb, pair)
+            out, err = capsys.readouterr()
+            assert (code == 2) is (not is_dual)
+            if code == 2:
+                assert out == ""
+                assert err == (f"error: pair residual {report['residual']:.3e}"
+                               f" exceeds tolerance {float(tol):.1e}\n")
+
+    @pytest.mark.parametrize("verb,what", [("pf-potential", "certificate"),
+                                           ("perturb", "dual certificate")])
+    def test_a_coupling_certificate_names_its_tolerance(
+            self, tmp_path, capsys, verb, what):
+        # nu and its coupling stretched by 1%: F - pi = 0.01 [[1, 1], [0, 0]].
+        nu = write_json(tmp_path, "nu.json", {
+            "ambient_dim": 2, "points": [[0, 0], [2.02, 2.02]],
+            "weights": [0.5, 0.5]})
+        gamma = write_json(tmp_path, "g.json", {
+            "pairs": [[[1, 0], [0, 0], 0.5], [[1, 0], [2.02, 2.02], 0.5]]})
+        ident = write_json(tmp_path, "id.json", {
+            "pairs": [[[0, 0], [0, 0], 0.5], [[2.02, 2.02], [2.02, 2.02], 0.5]]})
+        mu = fixture("skew_line_mu.json")
+        argv = {"pf-potential": [mu, nu, "--coupling", gamma],
+                "perturb": [mu, nu, gamma, nu, ident, "--eps", "0.1"]}[verb]
+        assert run_cli(verb, *argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (f"error: {what} residual 1.414e-02 exceeds tolerance "
+                       "1.0e-09\n")
+
+
+class TestIoFailures:
+    """A path the CLI cannot read or write exits 2 with one error line and
+    nothing on stdout."""
+
+    def assert_one_error_line(self, capsys, *names):
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert all(name in err for name in names)
+
+    def test_out_in_a_missing_directory(self, tmp_path, capsys):
+        target = tmp_path / "missing" / "r.json"
+        assert run_cli("check-dual", fixture("skew_line_pair.json"),
+                       out=target) == 2
+        self.assert_one_error_line(capsys, str(target))
+        assert not target.parent.exists()
+
+    def test_csv_in_a_missing_directory(self, tmp_path, capsys):
+        target = tmp_path / "missing" / "t.csv"
+        assert run_cli("interiority", *map(fixture, SKEW), "--eps", "0.1",
+                       "--trials", "2", "--csv", str(target)) == 2
+        self.assert_one_error_line(capsys, str(target))
+
+    def test_a_directory_as_a_fixture(self, capsys):
+        assert run_cli("check-dual", FIXTURES) == 2
+        self.assert_one_error_line(capsys, "Is a directory")
+
+
+# Every verb's report on the shipped fixtures, keyed by verb: its arguments
+# (ETA, PERT and IDENT are written by report_inputs) and its ordered
+# top-level keys.  Adding a field to a report dataclass changes the keys.
+POTENTIAL_KEYS = ["p", "value", "lower_bound", "gap", "saturated",
+                  "saturation_tol"]
+REPORT_KEYS = {
+    "frame-info": (["mercedes_benz_frame.json"],
+                   ["ambient_dim", "num_vectors", "subspace_dim",
+                    "frame_operator", "lower_bound", "upper_bound", "tight",
+                    "parseval"]),
+    "oblique-dual": (["skew_line_frame.json", "skew_line_v.json"],
+                     ["synthesis", "analysis", "residual"]),
+    "check-dual": (["skew_line_pair.json"], ["is_dual", "residual"]),
+    "potential": (["mercedes_benz_pair.json"], POTENTIAL_KEYS),
+    "coherence": (["mercedes_benz_pair.json"],
+                  ["max_off_diagonal_sq", "welch_bound", "diagonal_constant",
+                   "saturated", "mixed_gram", "signature"]),
+    "etf-lift": (["mercedes_benz_frame.json"],
+                 ["lifted", "is_equiangular_tight"]),
+    "minimize": (["mercedes_benz_frame.json", "plane.json"],
+                 ["pair", "trajectory", "iterations"]),
+    "pf-classify": (["mercedes_benz_measure.json", "plane.json"],
+                    ["second_moment", "frame_operator", "is_frame", "bounds",
+                     "is_tight", "is_parseval"]),
+    "pf-dual": (["mercedes_benz_measure.json", "plane.json", "plane.json"],
+                ["dual", "coupling"]),
+    "pf-check": (["skew_line_mu.json", "skew_line_nu.json",
+                  "skew_line_product_coupling.json"], ["is_dual", "residual"]),
+    "pf-potential": (["skew_line_mu.json", "skew_line_nu.json"],
+                     POTENTIAL_KEYS),
+    "w2": (["skew_line_mu.json", "skew_line_nu.json"],
+           ["distance", "certificate", "coupling"]),
+    "glue": (["skew_line_product_coupling.json", "IDENT"], ["triples"]),
+    "approx-check": (["skew_line_mu.json", "skew_line_nu.json",
+                      "skew_line_product_coupling.json", "skew_line_w.json",
+                      "skew_line_v.json"],
+                     ["epsilon_residual", "consistency_bound"]),
+    "perturb": (["skew_line_mu.json", "skew_line_nu.json",
+                 "skew_line_product_coupling.json", "ETA", "PERT",
+                 "--eps", "0.1"],
+                ["lambda", "a_lower", "epsilon_claimed", "epsilon_actual",
+                 "coupling"]),
+    "interiority": (["mercedes_benz_measure.json", "plane.json", "plane.json",
+                     "--eps", "0.1", "--trials", "2"],
+                    ["eps", "trials", "failures", "max_epsilon_actual",
+                     "frame_bound_violations"]),
+}
+
+
+class TestReportSchemas:
+    @pytest.fixture
+    def report_inputs(self, tmp_path):
+        from obliqueframes import Coupling, DiscreteMeasure, identity_coupling
+
+        nu = parse_fixture(fixture("skew_line_nu.json"), "measure")
+        eta = DiscreteMeasure([[0.05, 0.05], [2.05, 2.05]], [0.5, 0.5])
+        paths = {"IDENT": identity_coupling(nu), "ETA": eta,
+                 "PERT": Coupling(nu.points, eta.points, [0.5, 0.5])}
+        for name, value in paths.items():
+            paths[name] = str(tmp_path / f"{name}.json")
+            serialize_fixture(value, paths[name])
+        return paths
+
+    def test_every_verb_has_pinned_keys(self):
+        import argparse
+
+        from obliqueframes.cli import build_parser
+
+        verbs = next(a.choices for a in build_parser()._actions
+                     if isinstance(a, argparse._SubParsersAction))
+        assert set(REPORT_KEYS) == set(verbs)
+
+    @pytest.mark.parametrize("verb", REPORT_KEYS)
+    def test_top_level_keys_in_order(self, capsys, report_inputs, verb):
+        argv, keys = REPORT_KEYS[verb]
+        args = [report_inputs.get(a)
+                or (fixture(a) if a.endswith(".json") else a) for a in argv]
+        assert run_cli(verb, *args) == 0
+        assert list(json.loads(capsys.readouterr().out)) == keys
+
+
+class TestReportDataclasses:
+    """serialize writes a report dataclass as its fields, in declaration
+    order, each value through the same canonical rules as a dict's."""
+
+    @pytest.mark.parametrize("report,expected", [
+        (PotentialReport(p=2.0, value=2.5, lower_bound=2.0, gap=0.5,
+                         saturated=False),
+         '{\n  "p": 2,\n  "value": 2.5,\n  "lower_bound": 2,\n  "gap": 0.5,\n'
+         '  "saturated": false,\n  "saturation_tol": 1e-08\n}\n'),
+        (MeasureFrameReport(second_moment=1.0, frame_operator=np.eye(2) / 2,
+                            is_frame=True, bounds=(0.5, 0.5), is_tight=True,
+                            is_parseval=False),
+         '{\n  "second_moment": 1,\n  "frame_operator": [\n    [0.5, 0],\n'
+         '    [0, 0.5]\n  ],\n  "is_frame": true,\n  "bounds": [0.5, 0.5],\n'
+         '  "is_tight": true,\n  "is_parseval": false\n}\n'),
+        (TransportCertificate(cost=1.5, dual_gap=0.0, iterations=3),
+         '{\n  "cost": 1.5,\n  "dual_gap": 0,\n  "iterations": 3\n}\n'),
+        (ApproxDualReport(epsilon_residual=0.25, consistency_bound=0.125),
+         '{\n  "epsilon_residual": 0.25,\n  "consistency_bound": 0.125\n}\n'),
+    ], ids=["PotentialReport", "MeasureFrameReport", "TransportCertificate",
+            "ApproxDualReport"])
+    def test_fields_in_declaration_order(self, report, expected):
+        assert serialize_fixture(report) == expected
+
+    def test_a_typed_value_inside_a_report_uses_its_schema(self):
+        gamma = parse_fixture(fixture("skew_line_product_coupling.json"),
+                              "coupling")
+        assert serialize_fixture({"coupling": gamma}) == \
+            dumps_canonical({"coupling": coupling_to_obj(gamma)})
+
+    def test_the_interiority_csv_bytes(self, tmp_path):
+        trial = InteriorityTrial(trial=0, lam=0.1, eps_claimed=0.2,
+                                 eps_actual=1.0, passed=True,
+                                 frame_bound_ok=True)
+        path = tmp_path / "t.csv"
+        write_interiority_csv(str(path), InteriorityReport(
+            eps=0.1, trials=1, failures=0, max_epsilon_actual=1.0,
+            records=(trial,)))
+        assert path.read_bytes() == (
+            b"trial,lambda,eps_claimed,eps_actual,pass\r\n"
+            b"0,0.10000000000000001,0.20000000000000001,1,1\r\n")
