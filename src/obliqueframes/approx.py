@@ -17,10 +17,10 @@ import numpy as np
 
 from .duality import (
     _dual_certificate,
+    _framed_span,
     _require_frame,
     _validate_coupling,
     canonical_dual_measure,
-    support_span,
 )
 from .errors import (
     DimensionMismatch,
@@ -122,21 +122,17 @@ class _ExactDual:
     gamma_dual: Coupling
     c_upper: float      # upper frame bound of mu on its span
     a_opt: float        # lower frame bound of nu on its span
+    a_max: float        # min(a_opt, 1 / c_upper), the largest A with A*C <= 1
     pi_wv: np.ndarray   # oblique projection between the two spans
 
     @classmethod
     def certify(cls, mu: DiscreteMeasure, nu: DiscreteMeasure,
                 gamma_dual: Coupling, tol: Tolerance) -> "_ExactDual":
-        W = support_span(mu)
-        V = support_span(nu)
+        W, (_, c_upper) = _framed_span(mu)
+        V, (a_opt, _) = _framed_span(nu)
         resid, pi_wv = _dual_certificate(mu, nu, gamma_dual, W, V)
         require_dual(resid, tol, "dual certificate")
-        return cls(
-            gamma_dual=gamma_dual,
-            c_upper=_require_frame(mu, W, tol, "the measure")[1],
-            a_opt=_require_frame(nu, V, tol, "the dual measure")[0],
-            pi_wv=pi_wv,
-        )
+        return cls(gamma_dual, c_upper, a_opt, min(a_opt, 1.0 / c_upper), pi_wv)
 
     def perturbation(self, eta: DiscreteMeasure, gamma_pert: Coupling,
                      eps: float, a: float) -> PerturbationCertificate:
@@ -185,8 +181,7 @@ def perturbation_certificate(mu: DiscreteMeasure, nu: DiscreteMeasure,
     """
     dual = _ExactDual.certify(mu, nu, gamma_dual, tol)
     _validate_coupling(gamma_pert, nu, eta)
-    a = min(dual.a_opt, 1.0 / dual.c_upper) if a_lower is None \
-        else float(a_lower)
+    a = dual.a_max if a_lower is None else float(a_lower)
     return dual.perturbation(eta, gamma_pert, eps, a)
 
 
@@ -272,11 +267,9 @@ def interiority_experiment(mu: DiscreteMeasure, W: Subspace, V: Subspace,
     and also tracks the perturbed measure's lower frame bound floor.
     """
     nu, gamma_dual = canonical_dual_measure(mu, W, V, tol)
-    c_upper = _require_frame(mu, W, tol, "the measure")[1]
-    # The largest lower bound for nu compatible with A * C <= 1.
-    a = min(_require_frame(nu, V, tol, "the dual measure")[0], 1.0 / c_upper)
-    radius = float(np.sqrt(a) * eps)
     dual = _ExactDual.certify(mu, nu, gamma_dual, tol)
+    a = dual.a_max
+    radius = float(np.sqrt(a) * eps)
 
     records = []
     for t in range(trials):
@@ -295,7 +288,7 @@ def interiority_experiment(mu: DiscreteMeasure, W: Subspace, V: Subspace,
             eps_claimed=cert.epsilon_claimed,
             eps_actual=cert.epsilon_actual,
             passed=cert.epsilon_actual <= eps + 1e-9,
-            frame_bound_ok=bound_ok,
+            frame_bound_ok=bool(bound_ok),
         ))
     failures = sum(1 for r in records if not r.passed)
     return InteriorityReport(

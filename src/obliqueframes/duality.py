@@ -30,9 +30,9 @@ from .linalg import (
     Subspace,
     Tolerance,
     dual_operator,
+    factor_span,
     is_dual_residual,
     oblique_projection,
-    orthonormal_basis,
     require_dual,
     spectral_norm,
     tight_and_parseval,
@@ -51,13 +51,19 @@ from .transport import Coupling
 
 
 def support_span(mu: DiscreteMeasure) -> Subspace:
-    """Span of the positively weighted atoms."""
-    return orthonormal_basis(list(mu.support()))
+    """Span of the positive atoms in the directions the frame test keeps."""
+    return _framed_span(mu)[0]
+
+
+def _framed_span(mu: DiscreteMeasure) -> tuple[Subspace, tuple[float, float]]:
+    """support_span(mu) and the frame bounds of mu on it, from one SVD."""
+    W, vals = factor_span(mu.points.T * np.sqrt(mu.weights))
+    return W, (float(vals[-1]), float(vals[0]))
 
 
 def _require_frame(mu: DiscreteMeasure, W: Subspace, tol: Tolerance,
                    who: str) -> tuple[float, float]:
-    """Frame bounds of mu on W; the only way the library reads them."""
+    """Frame bounds of mu on a given W; NotAFrame when it is no frame there."""
     report = classify_probabilistic_frame(mu, W, tol)
     if not report.is_frame:
         raise NotAFrame(f"{who} is not a probabilistic frame for its subspace")
@@ -183,8 +189,7 @@ def pf_dual_potential(mu: DiscreteMeasure, nu: DiscreteMeasure, mode: str,
     """
     if mode not in ("pushforward", "general"):
         raise ValueError(f"unknown potential mode {mode!r}")
-    W = support_span(mu)
-    lo, hi = _require_frame(mu, W, tol, "the first measure")
+    W, (lo, hi) = _framed_span(mu)
     V = support_span(nu)
     if coupling is not None:
         require_dual(_dual_certificate(mu, nu, coupling, W, V)[0], tol,

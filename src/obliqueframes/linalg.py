@@ -1,9 +1,9 @@
 """Dense real linear algebra primitives.
 
-Orthonormalization, Moore-Penrose pseudoinverses, principal subspace
-angles, orthogonal/oblique projections, the dual operator composing them,
-the one frame test, restricted_spectrum, and the one dual decision,
-is_dual_residual, all on plain numpy arrays.
+The one span kernel, factor_span, and the one frame test, restricted_spectrum,
+sharing one rank rule; Moore-Penrose pseudoinverses, subspace angles,
+orthogonal/oblique projections, the dual operator composing them, and the one
+dual decision, is_dual_residual, all on plain numpy arrays.
 Everything here is a pure function of immutable inputs; arrays stored on
 dataclasses are marked read-only.
 """
@@ -100,18 +100,28 @@ class Subspace:
         return self.basis @ (self.basis.T @ np.asarray(x, dtype=float))
 
 
-def orthonormal_basis(vectors) -> Subspace:
-    """Orthonormal basis of span{vectors} with SVD rank truncation.
+def _above_cutoff(vals, n: int) -> np.ndarray:
+    """The one rank rule: which eigenvalues of an n x n PSD matrix lie above
+    the cutoff rank_cutoff((n, n)) * lambda_max that its pseudoinverse applies."""
+    return vals > rank_cutoff((n, n)) * np.max(vals)
 
-    Raises AllZero when every vector is numerically zero.
-    """
-    X = _as_float_array(np.column_stack([np.asarray(v, float) for v in vectors]),
-                        "vectors")
-    u, s, _ = np.linalg.svd(X, full_matrices=False)
-    if s.size == 0 or s[0] <= 0.0:
+
+def factor_span(A) -> tuple[Subspace, np.ndarray]:
+    """The one span kernel: the range of S = A A^T for an n x m factor A,
+    from one SVD of A, keeping the directions whose eigenvalues sigma^2 of S
+    the frame test keeps, with those eigenvalues, descending; AllZero if none."""
+    A = _as_float_array(A, "vectors")
+    u, s, _ = np.linalg.svd(A, full_matrices=False)
+    vals = s * s
+    if vals.size == 0 or vals[0] <= 0.0:
         raise AllZero("cannot span a subspace with all-zero vectors")
-    rank = int(np.sum(s > rank_cutoff(X.shape) * s[0]))
-    return Subspace(ambient_dim=X.shape[0], basis=u[:, :rank])
+    rank = int(np.sum(_above_cutoff(vals, A.shape[0])))
+    return Subspace(ambient_dim=A.shape[0], basis=u[:, :rank]), vals[:rank]
+
+
+def orthonormal_basis(vectors) -> Subspace:
+    """Orthonormal basis of span{vectors}: factor_span of them as columns."""
+    return factor_span(np.column_stack([np.asarray(v, float) for v in vectors]))[0]
 
 
 def pseudoinverse(M) -> np.ndarray:
@@ -126,10 +136,7 @@ def restricted_spectrum(S, W: Subspace) -> tuple[np.ndarray, int]:
     applies to the n x n S.  S spans W (rank dim W) exactly when S^+ keeps
     full rank on W, and the extreme eigenvalues are then the frame bounds."""
     vals = np.linalg.eigvalsh(W.basis.T @ S @ W.basis)
-    n = W.ambient_dim
-    rank = int(np.sum(vals > rank_cutoff((n, n)) * vals[-1])) \
-        if vals[-1] > 0 else 0
-    return vals, rank
+    return vals, int(np.sum(_above_cutoff(vals, W.ambient_dim)))
 
 
 def tight_and_parseval(lo: float, hi: float, tol: Tolerance) -> tuple[bool, bool]:
@@ -228,6 +235,6 @@ def psd_pinv_sqrt(M) -> np.ndarray:
     """Square root of the pseudoinverse of a PSD matrix."""
     M = _as_float_array(M, "matrix")
     vals, vecs = np.linalg.eigh(0.5 * (M + M.T))
-    cutoff = rank_cutoff(M.shape) * max(np.max(np.abs(vals)), 0.0)
-    inv = np.where(vals > cutoff, 1.0 / np.where(vals > cutoff, vals, 1.0), 0.0)
+    keep = _above_cutoff(vals, M.shape[0])
+    inv = np.where(keep, 1.0 / np.where(keep, vals, 1.0), 0.0)
     return (vecs * np.sqrt(inv)) @ vecs.T

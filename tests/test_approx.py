@@ -295,7 +295,7 @@ class TestInteriorityExperiment:
         nu, gamma = canonical_dual_measure(mu, R2, R2)
         calls = []
         for module in (duality, approx_mod):
-            for name in ("orthonormal_basis", "oblique_projection"):
+            for name in ("factor_span", "oblique_projection"):
                 if hasattr(module, name):
                     real = getattr(module, name)
 
@@ -305,8 +305,8 @@ class TestInteriorityExperiment:
 
                     monkeypatch.setattr(module, name, counting)
         dual = approx_mod._ExactDual.certify(mu, nu, gamma, DEFAULT_TOL)
-        assert sorted(calls) == ["oblique_projection", "orthonormal_basis",
-                                 "orthonormal_basis"]
+        assert sorted(calls) == ["factor_span", "factor_span",
+                                 "oblique_projection"]
         W, V = support_span(mu), support_span(nu)
         assert np.array_equal(dual.pi_wv, oblique_projection(W, V))
 

@@ -7,7 +7,6 @@ from obliqueframes import (
     DiscreteMeasure,
     MarginalMismatch,
     NotADual,
-    NotAFrame,
     canonical_dual_map,
     canonical_dual_measure,
     canonical_oblique_dual,
@@ -31,6 +30,7 @@ from obliqueframes import (
     uniform_atoms,
     weak_equal,
 )
+from obliqueframes.cli import main
 from obliqueframes.gallery import (
     full_space,
     line,
@@ -41,6 +41,7 @@ from obliqueframes.gallery import (
     skew_line_measures,
     skew_line_subspaces,
 )
+from obliqueframes.serialize import serialize_fixture
 
 
 def random_dual_instance(seed, m=None):
@@ -380,11 +381,14 @@ class TestPfDualPotential:
             pf_dual_potential(mu, nu_bad, "general", gamma)
 
     @pytest.mark.parametrize("mode", ["pushforward", "general"])
-    def test_first_measure_must_be_a_frame_on_its_span(self, mode):
-        # support_span keeps the 1e-10 direction; the frame test does not.
+    def test_the_span_drops_what_the_frame_test_drops(self, mode, tmp_path):
+        # The frame test drops the 1e-10 direction, and so does support_span.
         mu = DiscreteMeasure([[1.0, 0.0], [0.0, 1e-10]], [0.5, 0.5])
-        with pytest.raises(NotAFrame):
-            pf_dual_potential(mu, mu, mode)
+        assert support_span(mu).dim == 1
+        assert pf_dual_potential(mu, mu, mode).lower_bound == 1.0
+        path = str(tmp_path / "mu.json")
+        serialize_fixture(mu, path)
+        assert main(["pf-potential", path, path, "--mode", mode]) == 0
 
     @given(st.integers(0, 2_000))
     def test_pushforward_gap_vanishes_exactly_at_canonical(self, seed):

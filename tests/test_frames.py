@@ -18,8 +18,10 @@ from obliqueframes import (
     is_oblique_dual_measure,
     oblique_dual_family,
     orthogonal_complement,
+    pf_dual_potential,
     reconstruct,
     subspace_angle_cos,
+    support_span,
 )
 from obliqueframes.gallery import (
     full_space,
@@ -313,3 +315,18 @@ class TestOneFrameTest:
             certified = False
         assert classify_probabilistic_frame(mu, W).is_frame == certified \
             == expected
+
+    @settings(deadline=None)
+    @given(seed=st.integers(0, 2**16), **ILL_CONDITIONED)
+    def test_support_span_keeps_what_the_frame_test_keeps(
+            self, n, log_delta, slot, seed):
+        delta = 10.0 ** log_delta
+        expected = _outside_the_cutoff(n, delta)
+        q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((n, n)))
+        mu = DiscreteMeasure(_scaled_basis(n, delta, slot % n) @ q,
+                             np.full(n, 1.0 / n))
+        assert (support_span(mu).dim == n) \
+            == classify_probabilistic_frame(mu, full_space(n)).is_frame \
+            == expected
+        for mode in ("pushforward", "general"):
+            pf_dual_potential(mu, mu, mode)  # never NotAFrame on its own span

@@ -23,7 +23,8 @@ from obliqueframes import (
 from obliqueframes.approx import approx_dual_residual
 from obliqueframes.duality import probabilistic_consistency_check, support_span
 from obliqueframes.frames import _FamilyGeometry, dual_residual, frame_bounds
-from obliqueframes.linalg import dual_operator, rank_cutoff, restricted_spectrum
+from obliqueframes.linalg import (dual_operator, factor_span, rank_cutoff,
+                                  restricted_spectrum)
 from obliqueframes.potentials import potential_gradient, potential_objective
 from obliqueframes.gallery import (
     full_space,
@@ -60,7 +61,7 @@ class TestOrthonormalBasis:
         with pytest.raises(AllZero):
             orthonormal_basis([[0.0, 0.0], [0.0, 0.0]])
 
-    @pytest.mark.parametrize("eps", [1e-17, 1e-16, 1e-12, 1e-6])
+    @pytest.mark.parametrize("eps", [1e-17, 1e-16, 1e-12, 1e-8, 1e-7, 1e-6])
     def test_rank_decision_matches_closed_form_singular_values(self, eps):
         # Columns (1,0,0) and (1,eps,0): the Gram 2x2 spectrum is known in
         # closed form, giving an independent rank oracle.  The small
@@ -71,8 +72,8 @@ class TestOrthonormalBasis:
         disc = np.sqrt(tr * tr - 4.0 * det)
         sigma1 = np.sqrt((tr + disc) / 2.0)
         sigma2 = np.sqrt(det) / sigma1
-        cutoff = 3 * np.finfo(float).eps  # max(shape) * eps for a 3x2 matrix
-        expected_rank = 1 if sigma2 <= cutoff * sigma1 else 2
+        # The frame test's rule on the eigenvalues sigma^2 of the 3x3 S = X X^T.
+        expected_rank = 1 if sigma2**2 <= rank_cutoff((3, 3)) * sigma1**2 else 2
 
         s = orthonormal_basis([[1.0, 0.0, 0.0], [1.0, eps, 0.0]])
         assert s.dim == expected_rank
@@ -289,7 +290,7 @@ class TestOneTolerance:
         assert not hasattr(Tolerance, "rank_cutoff")
 
     @pytest.mark.parametrize("func", [
-        orthonormal_basis, pseudoinverse, restricted_spectrum,
+        orthonormal_basis, factor_span, pseudoinverse, restricted_spectrum,
         oblique_projection, dual_operator, psd_pinv_sqrt, frame_bounds,
         dual_residual, _FamilyGeometry.build, support_span,
         probabilistic_consistency_check, approx_dual_residual,

@@ -555,22 +555,6 @@ class TestOneTolerance:
         assert parser.parse_args(["--tol", "1e-3", "frame-info", frame]).tol \
             == Tolerance(eq_tol=1e-3)
 
-    def test_pf_potential_classifies_the_first_measure_once(self, monkeypatch):
-        from obliqueframes import duality, measures
-
-        seen = []
-        classify = measures.classify_probabilistic_frame
-
-        def counting(*args, **kwargs):
-            seen.append(args[0])
-            return classify(*args, **kwargs)
-
-        monkeypatch.setattr(duality, "classify_probabilistic_frame", counting)
-        monkeypatch.setattr(measures, "classify_probabilistic_frame", counting)
-        assert run_cli("pf-potential", fixture("skew_line_mu.json"),
-                       fixture("skew_line_nu.json"), "--mode", "general") == 0
-        assert len(seen) == 1
-
 
 class TestWorkDoneOnce:
     @pytest.fixture
@@ -588,6 +572,35 @@ class TestWorkDoneOnce:
         monkeypatch.setattr(measures, "match_atoms", counting)
         monkeypatch.setattr(transport, "match_atoms", counting)
         return calls
+
+    @pytest.fixture
+    def classify_calls(self, monkeypatch):
+        """Every classify_probabilistic_frame call, whichever module makes it."""
+        from obliqueframes import approx, duality, measures
+
+        calls = []
+        classify = measures.classify_probabilistic_frame
+
+        def counting(*args, **kwargs):
+            calls.append(args[0])
+            return classify(*args, **kwargs)
+
+        for module in (approx, duality, measures):
+            monkeypatch.setattr(module, "classify_probabilistic_frame", counting)
+        return calls
+
+    def test_pf_potential_classifies_no_measure(self, classify_calls):
+        # The bounds come with the span, from the same decomposition.
+        assert run_cli("pf-potential", fixture("skew_line_mu.json"),
+                       fixture("skew_line_nu.json"), "--mode", "general") == 0
+        assert len(classify_calls) == 0
+
+    def test_interiority_classifies_mu_once_and_each_trial_once(
+            self, classify_calls):
+        assert run_cli("interiority", fixture("mercedes_benz_measure.json"),
+                       fixture("plane.json"), fixture("plane.json"),
+                       "--eps", "0.1", "--trials", "16") == 0
+        assert len(classify_calls) == 1 + 16
 
     def test_parsed_coupling_aggregates_each_side_once(self, match_calls):
         from obliqueframes.measures import is_marginal
@@ -617,13 +630,13 @@ class TestWorkDoneOnce:
         from obliqueframes import duality
 
         calls = []
-        orthonormal_basis = duality.orthonormal_basis
+        factor_span = duality.factor_span
 
         def counting(*args):
             calls.append(args[0])
-            return orthonormal_basis(*args)
+            return factor_span(*args)
 
-        monkeypatch.setattr(duality, "orthonormal_basis", counting)
+        monkeypatch.setattr(duality, "factor_span", counting)
         assert run_cli("pf-potential", fixture("skew_line_mu.json"),
                        fixture("skew_line_nu.json"), "--coupling",
                        fixture("skew_line_product_coupling.json")) == 0
@@ -898,6 +911,16 @@ class TestReportDataclasses:
                               "coupling")
         assert serialize_fixture({"coupling": gamma}) == \
             dumps_canonical({"coupling": coupling_to_obj(gamma)})
+
+    def test_an_interiority_report_from_the_experiment(self):
+        from obliqueframes.approx import interiority_experiment
+        from obliqueframes.gallery import full_space, mercedes_benz_measure
+
+        R2 = full_space(2)
+        report = interiority_experiment(mercedes_benz_measure(), R2, R2,
+                                        eps=0.1, trials=1, rng_seed=0)
+        record = json.loads(serialize_fixture(report))["records"][0]
+        assert record["frame_bound_ok"] is True
 
     def test_the_interiority_csv_bytes(self, tmp_path):
         trial = InteriorityTrial(trial=0, lam=0.1, eps_claimed=0.2,
