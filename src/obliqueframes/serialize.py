@@ -13,6 +13,7 @@ import csv
 import dataclasses
 import io
 import json
+import math
 import os
 import tempfile
 
@@ -27,7 +28,7 @@ from .transport import Coupling, TriCoupling
 
 
 def _format_float(x: float) -> str:
-    if not np.isfinite(x):
+    if not math.isfinite(x):
         raise ValueError("cannot serialize non-finite numbers")
     return format(float(x), ".17g")
 
@@ -47,6 +48,10 @@ def _emit(obj, indent: int) -> str:
     if isinstance(obj, np.ndarray):
         return _emit(obj.tolist(), indent)
     if isinstance(obj, (list, tuple)):
+        # One pass for a row of finite floats; _format_float refuses the rest.
+        if (obj and set(map(type, obj)) == {float}
+                and all(map(math.isfinite, obj))):
+            return "[" + ", ".join([format(v, ".17g") for v in obj]) + "]"
         items = list(obj)
         if all(isinstance(v, (bool, int, float, str, np.integer, np.floating))
                or v is None for v in items):
@@ -109,21 +114,29 @@ def _ambient_dim(obj: dict) -> int:
     return n
 
 
-def _number_list(value, field: str) -> list[float]:
-    if not isinstance(value, list) or not all(
-            isinstance(v, (int, float)) and not isinstance(v, bool) for v in value):
+def _numbers(value, field: str) -> list:
+    """value itself, once it is a list of JSON numbers: no bool, string or
+    null."""
+    if not isinstance(value, list) or not set(map(type, value)) <= {int, float}:
         raise ParseError(f"field '{field}' must be an array of numbers")
-    return [float(v) for v in value]
+    return value
+
+
+def _floats(value, field: str) -> np.ndarray:
+    try:
+        return np.array(value, dtype=float)
+    except OverflowError:
+        raise ParseError(f"field '{field}' holds an integer too large "
+                         "for a double") from None
 
 
 def _matrix(value, field: str) -> np.ndarray:
     if not isinstance(value, list) or not value:
         raise ParseError(f"field '{field}' must be a non-empty array of rows")
-    rows = [_number_list(row, field) for row in value]
-    width = len(rows[0])
-    if any(len(r) != width for r in rows):
+    rows = [_numbers(row, field) for row in value]
+    if len(set(map(len, rows))) != 1:
         raise ParseError(f"field '{field}' has ragged rows")
-    return np.array(rows, dtype=float)
+    return _floats(rows, field)
 
 
 # ---------------------------------------------------------------------------
@@ -190,13 +203,13 @@ def measure_to_obj(mu: DiscreteMeasure) -> dict:
 def measure_from_obj(obj) -> DiscreteMeasure:
     n = _ambient_dim(obj)
     points = _matrix(_require(obj, "points"), "points")
-    weights = _number_list(_require(obj, "weights"), "weights")
+    weights = _floats(_numbers(_require(obj, "weights"), "weights"), "weights")
     if points.shape[1] != n:
         raise ParseError(
             f"points have length {points.shape[1]}, ambient_dim is {n}"
         )
     try:
-        return DiscreteMeasure(points, np.array(weights))
+        return DiscreteMeasure(points, weights)
     except ValueError as exc:
         raise ParseError(f"invalid measure: {exc}") from exc
 
@@ -219,21 +232,19 @@ def coupling_from_obj(obj) -> Coupling:
         if not isinstance(entry, list) or len(entry) != 3:
             raise ParseError(f"pair {k} must be [x, y, weight]")
         for side, value, rows in (("x", entry[0], xs), ("y", entry[1], ys)):
-            row = _number_list(value, f"pairs[{k}].{side}")
-            if not row:
-                raise ParseError(f"field 'pairs[{k}].{side}' must be non-empty")
+            name = f"pairs[{k}].{side}"
+            row = _floats(_numbers(value, name), name)
+            if not row.size:
+                raise ParseError(f"field '{name}' must be non-empty")
             if rows and len(row) != len(rows[0]):
-                raise ParseError(f"field 'pairs[{k}].{side}' has length "
+                raise ParseError(f"field '{name}' has length "
                                  f"{len(row)}, pairs[0].{side} has {len(rows[0])}")
             rows.append(row)
-        if not isinstance(entry[2], (int, float)) or isinstance(entry[2], bool):
-            raise ParseError(f"pairs[{k}].weight must be a number")
-        ws.append(float(entry[2]))
-    x = np.array(xs)
-    y = np.array(ys)
-    w = np.array(ws)
+        if type(entry[2]) not in (int, float):
+            raise ParseError(f"field 'pairs[{k}].weight' must be a number")
+        ws.append(_floats(entry[2], f"pairs[{k}].weight"))
     try:
-        return Coupling(x, y, w)
+        return Coupling(np.array(xs), np.array(ys), np.array(ws))
     except ValueError as exc:
         raise ParseError(f"invalid coupling: {exc}") from exc
 

@@ -1,10 +1,12 @@
 import json
 import os
+import re
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 import obliqueframes
 from obliqueframes import ParseError, transport
@@ -14,6 +16,7 @@ from obliqueframes.cli import main
 from obliqueframes.measures import MeasureFrameReport
 from obliqueframes.potentials import PotentialReport
 from obliqueframes.serialize import (
+    _format_float,
     coupling_to_obj,
     dumps_canonical,
     measure_from_obj,
@@ -45,6 +48,37 @@ def fixture(name):
     return os.path.join(FIXTURES, name)
 
 
+# A JSON integer that json parses exactly but no double can hold.
+HUGE = 10 ** 400
+
+EDGE_FLOATS = [-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+               1.7976931348623157e308, -1.7976931348623157e308, 0.1, 2.0,
+               -3.0, 1e16, 1e22, np.pi]
+
+# Every number slot of every fixture schema: (kind, the fixture with a given
+# value in the slot, the field a parse error must name).
+NUMBER_SLOTS = {
+    "points": ("measure", lambda v: {"ambient_dim": 2, "points": [[1, v]],
+                                     "weights": [1]}, "points"),
+    "weights": ("measure", lambda v: {"ambient_dim": 1, "points": [[1], [2]],
+                                      "weights": [0.5, v]}, "weights"),
+    "basis": ("subspace", lambda v: {"ambient_dim": 2, "basis": [[1], [v]]},
+              "basis"),
+    "subspace_basis": ("frame", lambda v: {
+        "ambient_dim": 1, "subspace_basis": [[v]], "vectors": [[1]]},
+        "subspace_basis"),
+    "vectors": ("frame", lambda v: {
+        "ambient_dim": 2, "subspace_basis": [[1, 0], [0, 1]],
+        "vectors": [[1, 0], [0, 1], [v, 1]]}, "vectors"),
+    "pair_x": ("coupling", lambda v: {
+        "pairs": [[[1], [1], 0.5], [[v], [1], 0.5]]}, "pairs[1].x"),
+    "pair_y": ("coupling", lambda v: {
+        "pairs": [[[1], [1], 0.5], [[1], [1, v], 0.5]]}, "pairs[1].y"),
+    "pair_weight": ("coupling", lambda v: {
+        "pairs": [[[1], [1], 0.5], [[1], [1], v]]}, "pairs[1].weight"),
+}
+
+
 class TestRoundTrip:
     @pytest.mark.parametrize("name,kind", ALL_FIXTURES)
     def test_every_shipped_fixture_round_trips_byte_identically(self, name, kind):
@@ -66,6 +100,58 @@ class TestRoundTrip:
         assert back.points[0, 0] == 0.1
         assert back.points[1, 0] == np.pi
         assert back.weights[0] == 1.0 / 3.0
+
+
+class TestLeafRows:
+    """A list of Python floats is written in one pass; it must read exactly
+    as the per-number writer would write it."""
+
+    @staticmethod
+    def per_leaf(row):
+        return "[" + ", ".join(_format_float(v) for v in row) + "]\n"
+
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False)
+                    | st.sampled_from(EDGE_FLOATS), min_size=1))
+    @example(EDGE_FLOATS)
+    def test_a_float_row_is_written_as_its_leaves(self, row):
+        text = dumps_canonical(row)
+        assert text == dumps_canonical(tuple(row)) == self.per_leaf(row)
+        # parse_int=float keeps the sign of "-0", which an int 0 would drop.
+        back = json.loads(text, parse_int=float)
+        assert np.array(back).view(np.uint64).tolist() == \
+            np.array(row).view(np.uint64).tolist()
+
+    def test_integral_floats_are_written_as_integers(self):
+        assert dumps_canonical([2.0, -0.0, 1e16, 1e22]) == \
+            "[2, -0, 10000000000000000, 1e+22]\n"
+
+    @pytest.mark.parametrize("value,text", [
+        ([1, 2.5, True, np.float64(3)], "[1, 2.5, true, 3]\n"),
+        ([np.float64(0.1), 0.1], "[0.10000000000000001, 0.10000000000000001]\n"),
+        ([1.0, None], "[1, null]\n"),
+        ([], "[]\n"),
+        ((), "[]\n"),
+        ([[1.0, 2.0], []], "[\n  [1, 2],\n  []\n]\n"),
+    ])
+    def test_other_lists_are_written_as_before(self, value, text):
+        assert dumps_canonical(value) == text
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", [0, 2])
+    def test_a_non_finite_leaf_is_refused(self, bad, where):
+        row = [0.5, 1.0, 2.0]
+        row[where] = bad
+        for value in (row, tuple(row), np.array([[1.0, 2.0, 3.0], row])):
+            with pytest.raises(ValueError, match="non-finite"):
+                dumps_canonical(value)
+
+    def test_a_non_finite_report_exits_2(self, monkeypatch, capsys):
+        from obliqueframes import potentials
+        monkeypatch.setattr(potentials, "etf_lift", lambda frame, tol: (
+            np.array([[1.0, np.inf], [0.0, 1.0]]), False))
+        assert run_cli("etf-lift", fixture("mercedes_benz_frame.json")) == 2
+        assert capsys.readouterr() == (
+            "", "error: cannot serialize non-finite numbers\n")
 
 
 class TestParseErrors:
@@ -102,6 +188,17 @@ class TestParseErrors:
         with pytest.raises(ParseError, match="ragged"):
             parse_fixture(str(path), "subspace")
 
+    @pytest.mark.parametrize("bad", [True, "1", None, HUGE],
+                             ids=["true", "string", "null", "huge"])
+    @pytest.mark.parametrize("kind,make,field", NUMBER_SLOTS.values(),
+                             ids=NUMBER_SLOTS.keys())
+    def test_a_non_number_names_its_field(self, tmp_path, kind, make, field,
+                                          bad):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(make(bad)))
+        with pytest.raises(ParseError, match=re.escape(f"field '{field}'")):
+            parse_fixture(str(path), kind)
+
 
 def bad_measure(ambient_dim, points=((1.0, 0.0),)):
     return {"ambient_dim": ambient_dim, "points": [list(p) for p in points],
@@ -134,6 +231,22 @@ MALFORMED_INPUTS = {
     "ragged_pair_y": (["glue", "BAD", "BAD"],
                       {"pairs": [[[1, 0], [0, 0], 0.5], [[1, 0], [2], 0.5]]},
                       "pairs[1].y"),
+    "huge_point": (["w2", "BAD", "skew_line_nu.json"],
+                   bad_measure(2, [[HUGE, 0]]), "points"),
+    "huge_weight": (["w2", "BAD", "skew_line_nu.json"],
+                    {"ambient_dim": 2, "points": [[1, 0]], "weights": [HUGE]},
+                    "weights"),
+    "huge_basis": (["pf-classify", "skew_line_mu.json", "BAD"],
+                   {"ambient_dim": 2, "basis": [[1], [HUGE]]}, "basis"),
+    "huge_pair_x": (["pf-check", "skew_line_mu.json", "skew_line_nu.json",
+                     "BAD"], {"pairs": [[[HUGE, 0], [1, 0], 1]]},
+                    "pairs[0].x"),
+    "huge_pair_y": (["pf-check", "skew_line_mu.json", "skew_line_nu.json",
+                     "BAD"], {"pairs": [[[1, 0], [1, -HUGE], 1]]},
+                    "pairs[0].y"),
+    "huge_pair_weight": (["pf-check", "skew_line_mu.json", "skew_line_nu.json",
+                          "BAD"], {"pairs": [[[1, 0], [1, 0], HUGE]]},
+                         "pairs[0].weight"),
 }
 
 
