@@ -227,11 +227,12 @@ def _sample_in_w2_ball(nu: DiscreteMeasure, V: Subspace, radius: float,
         directions = rng.standard_normal(nu.points.shape) @ proj
 
     def distance(s: float) -> tuple[float, np.ndarray]:
-        return _solve_w2(nu, _jittered(nu, directions, s))[:2]
+        return _solve_w2(nu, _jittered(nu, directions, s), start=identity)[:2]
 
     # The graph coupling costs s^2 * sum w ||d||^2, so this start is feasible.
     norm2 = float(np.sum(nu.weights * np.einsum("ki,ki->k", directions, directions)))
-    lo, f_lo = 0.0, np.diag(nu.weights)   # scale 0 leaves nu in place
+    identity = np.diag(nu.weights)   # a plan from nu to each of its jitters
+    lo, f_lo = 0.0, identity   # scale 0 leaves nu in place
     hi = radius / np.sqrt(norm2)
     d_hi, f_hi = distance(hi)
     for _ in range(60):

@@ -283,7 +283,8 @@ def parse_fixture(path: str, kind: str, tol: Tolerance = DEFAULT_TOL):
         raise ParseError(f"unknown fixture kind {kind!r}")
     try:
         with open(path) as fh:
-            obj = json.load(fh)
+            # The writer prints -0.0 as "-0", which int() would read as +0.
+            obj = json.load(fh, parse_int=lambda s: -0.0 if s == "-0" else int(s))
     except FileNotFoundError as exc:
         raise ParseError(f"fixture not found: {path}") from exc
     except json.JSONDecodeError as exc:

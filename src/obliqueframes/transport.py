@@ -174,9 +174,38 @@ class TransportCertificate:
     iterations: int
 
 
-def solve_transport(cost: np.ndarray, supply: np.ndarray, demand: np.ndarray):
+def _certify_start(cost: np.ndarray, supply: np.ndarray, demand: np.ndarray,
+                   start, scale: float):
+    """The start plan and its certificate if it is optimal, else None.  Its
+    potentials are shortest paths on its residual graph (i -> j at c_ij on
+    every cell, j -> i at -c_ij where flow is positive), by Bellman-Ford
+    rounds that relax all edges at once until every reduced cost passes the
+    simplex's stopping test; if m + k rounds do not, a cycle is negative."""
+    flows = np.array(start, dtype=float)
+    if flows.shape != cost.shape:
+        raise DimensionMismatch("start plan shape disagrees with the marginals")
+    if not (flows.min() >= 0.0
+            and np.abs(flows.sum(axis=1) - supply).max() <= MARGINAL_TOL
+            and np.abs(flows.sum(axis=0) - demand).max() <= MARGINAL_TOL):
+        raise MarginalMismatch("start plan is infeasible for the marginals")
+    positive = flows > 0.0
+    back = np.where(positive, -cost, np.inf)
+    row, col = np.zeros(supply.shape[0]), np.zeros(demand.shape[0])
+    for _ in range(sum(cost.shape)):
+        row = np.minimum(row, (col + back).min(axis=1))
+        reduced = cost + row[:, None] - col
+        if reduced.min() >= -scale and not (reduced[positive] > scale).any():
+            primal = float(np.sum(flows * cost))
+            dual = float(col @ demand - row @ supply)
+            return flows, TransportCertificate(primal, abs(primal - dual), 0)
+        col = np.minimum(col, (row[:, None] + cost).min(axis=0))
+
+
+def solve_transport(cost: np.ndarray, supply: np.ndarray, demand: np.ndarray,
+                    *, start=None):
     """Minimize sum c_ij x_ij over the transportation polytope.
 
+    A start plan that shortest-path potentials certify optimal is returned.
     The entering cell has the most negative reduced cost (Dantzig's rule);
     after DEGENERATE_RUN consecutive degenerate pivots it is the least-index
     improving cell (Bland's rule) until flow moves again.  The leaving cell
@@ -196,11 +225,15 @@ def solve_transport(cost: np.ndarray, supply: np.ndarray, demand: np.ndarray):
         raise DimensionMismatch("cost matrix shape disagrees with marginals")
     if abs(float(np.sum(supply) - np.sum(demand))) > MARGINAL_TOL:
         raise MarginalMismatch("total supply and demand differ")
+    scale = 1e-12 * (1.0 + float(np.max(np.abs(cost))))
+    if start is not None:
+        certified = _certify_start(cost, supply, demand, start, scale)
+        if certified is not None:
+            return certified
 
     flows, in_basis = _northwest_corner(supply, demand)
     flow = flows.tolist()
     cost_rows = cost.tolist()
-    scale = 1e-12 * (1.0 + float(np.max(np.abs(cost))))
     adj = _adjacency(in_basis)
     pot = [0.0] * (m + k)
     parent = [0] * (m + k)
@@ -290,7 +323,7 @@ def solve_transport(cost: np.ndarray, supply: np.ndarray, demand: np.ndarray):
                                        iterations=iterations)
 
 
-def _solve_w2(mu: DiscreteMeasure, nu: DiscreteMeasure
+def _solve_w2(mu: DiscreteMeasure, nu: DiscreteMeasure, *, start=None
               ) -> tuple[float, np.ndarray, TransportCertificate]:
     """Exact 2-Wasserstein distance with the optimal flows between atoms."""
     if mu.ambient_dim != nu.ambient_dim:
@@ -298,7 +331,7 @@ def _solve_w2(mu: DiscreteMeasure, nu: DiscreteMeasure
     diff = mu.points[:, None, :] - nu.points[None, :, :]
     cost = np.einsum("ijk,ijk->ij", diff, diff)
     flows, cert = solve_transport(cost, np.asarray(mu.weights),
-                                  np.asarray(nu.weights))
+                                  np.asarray(nu.weights), start=start)
     # Quadratic costs are nonnegative; clamp round-off dust before the root.
     total = cert.cost if cert.cost > 0.0 else 0.0
     return float(np.sqrt(total)), flows, cert

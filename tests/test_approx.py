@@ -311,6 +311,44 @@ class TestInteriorityExperiment:
         assert np.array_equal(dual.pi_wv, oblique_projection(W, V))
 
 
+class TestCertifiedStart:
+    @pytest.mark.parametrize("atoms", [12, 50])
+    @pytest.mark.parametrize("eps", [0.01, 0.1, 0.5, 1.0, 2.0])
+    def test_identity_start_leaves_the_trials_unchanged(self, monkeypatch,
+                                                        atoms, eps):
+        # Every bisection probe passes the identity plan as its start.  A
+        # certified start must return what the simplex returns, and an
+        # uncertified one must fall back to the simplex itself.
+        from obliqueframes import transport
+
+        rng = np.random.default_rng([atoms, 17])
+        W, V = random_admissible_pair(rng, 3, 2)
+        mu = random_measure_on(rng, W, atoms)
+        solve = transport.solve_transport
+        pivots = []
+
+        def recording(cost, supply, demand, *, start=None):
+            assert start is not None
+            flows, cert = solve(cost, supply, demand, start=start)
+            pivots.append(cert.iterations)
+            return flows, cert
+
+        monkeypatch.setattr(transport, "solve_transport", recording)
+        with_start = interiority_experiment(mu, W, V, eps=eps, trials=3,
+                                            rng_seed=5)
+        monkeypatch.setattr(transport, "solve_transport",
+                            lambda cost, supply, demand, *, start=None:
+                            solve(cost, supply, demand))
+        without = interiority_experiment(mu, W, V, eps=eps, trials=3,
+                                         rng_seed=5)
+        assert with_start == without
+        assert with_start.failures == 0
+        if eps <= 0.01:
+            assert not any(pivots)
+        if eps >= 1.0:
+            assert any(pivots)
+
+
 class TestCrossModuleConsistency:
     @given(st.integers(0, 1_000))
     def test_zero_epsilon_coincides_with_exact_duality(self, seed):

@@ -102,6 +102,28 @@ class TestRoundTrip:
         assert back.weights[0] == 1.0 / 3.0
 
 
+    def test_negative_zero_survives(self, tmp_path):
+        mu = measure_from_obj({"ambient_dim": 2,
+                               "points": [[-0.0, 1.0], [0.0, -0.0]],
+                               "weights": [0.5, 0.5]})
+        text = serialize_fixture(mu)
+        assert "[-0, 1]" in text
+        path = tmp_path / "mu.json"
+        path.write_text(text)
+        back = parse_fixture(str(path), "measure")
+        assert serialize_fixture(back) == text
+        assert np.signbit(back.points).tolist() == [[True, False],
+                                                    [False, True]]
+
+    @pytest.mark.parametrize("dim", ["-0", "2.0", "2e0"])
+    def test_integer_fields_still_refuse_floats(self, tmp_path, dim):
+        path = tmp_path / "mu.json"
+        path.write_text('{"ambient_dim": %s, "points": [[1, 0]], '
+                        '"weights": [1]}' % dim)
+        with pytest.raises(ParseError, match="'ambient_dim'"):
+            parse_fixture(str(path), "measure")
+
+
 class TestLeafRows:
     """A list of Python floats is written in one pass; it must read exactly
     as the per-number writer would write it."""

@@ -107,6 +107,27 @@ def random_instance(m, dim):
     return cost, supply / supply.sum(), demand / demand.sum()
 
 
+def jitter_instance(m, eps, seed, dim=3):
+    """Seeded W2 problem between a random m-atom measure and its jitter,
+    sized as the interiority sampler's first probe: the identity plan costs
+    eps^2 times the measure's lower frame bound.  Returns the cost matrix
+    and the common weights."""
+    rng = np.random.default_rng([m, seed])
+    x = rng.standard_normal((m, dim))
+    w = 0.2 + rng.random(m)
+    w /= w.sum()
+    d = rng.standard_normal((m, dim))
+    lower = np.linalg.eigvalsh((w[:, None] * x).T @ x)[0]
+    scale = eps * np.sqrt(lower / np.sum(w * np.einsum("ki,ki->k", d, d)))
+    return squared_distances(x, x + scale * d), w
+
+
+def solve_both(cost, w):
+    """The simplex from the northwest corner, and from the identity start."""
+    return (solve_transport(cost, w, w),
+            solve_transport(cost, w, w, start=np.diag(w)))
+
+
 class TestCouplings:
     def test_product_of_diracs(self):
         gamma = product_coupling(dirac([1.0]), dirac([-2.0]))
@@ -266,11 +287,11 @@ class TestExactW2:
 
 
 class TestTransportOracles:
-    @pytest.mark.parametrize("dim", [2, 3, 64])
-    @given(seed=st.integers(0, 10_000), rounded=st.booleans())
-    def test_uniform_assignments_match_brute_force(self, dim, seed, rounded):
+    @staticmethod
+    def check_uniform_assignment(dim, seed, rounded, identity_start):
         # Integer-rounded points tie many costs, which drives the simplex
-        # through degenerate pivots.
+        # through degenerate pivots, and may make the identity plan optimal
+        # alongside other permutations.
         rng = np.random.default_rng(seed)
         m = int(rng.integers(1, 7))
         x = 2.0 * rng.standard_normal((m, dim))
@@ -279,13 +300,25 @@ class TestTransportOracles:
             x, y = np.round(x), np.round(y)
         cost = squared_distances(x, y)
         uniform = np.full(m, 1.0 / m)
-        flows, cert = solve_transport(cost, uniform, uniform)
+        start = np.diag(uniform) if identity_start else None
+        flows, cert = solve_transport(cost, uniform, uniform, start=start)
         want = brute_force_assignment_cost(cost)
         assert cert.cost == pytest.approx(want, rel=1e-12, abs=1e-12)
         assert cert.dual_gap <= 1e-9 * (1.0 + want)
         assert np.all(flows >= 0.0)
         assert np.allclose(flows.sum(axis=1), uniform, atol=1e-12)
         assert np.allclose(flows.sum(axis=0), uniform, atol=1e-12)
+
+    @pytest.mark.parametrize("dim", [2, 3, 64])
+    @given(seed=st.integers(0, 10_000), rounded=st.booleans())
+    def test_uniform_assignments_match_brute_force(self, dim, seed, rounded):
+        self.check_uniform_assignment(dim, seed, rounded, False)
+
+    @pytest.mark.parametrize("dim", [2, 3, 64])
+    @given(seed=st.integers(0, 10_000), rounded=st.booleans())
+    def test_identity_start_assignments_match_brute_force(self, dim, seed,
+                                                          rounded):
+        self.check_uniform_assignment(dim, seed, rounded, True)
 
     def test_bland_guard_matches_brute_force(self, monkeypatch):
         # A run length of 1 hands every pivot after a degenerate one to
@@ -318,6 +351,91 @@ class TestTransportOracles:
         want = highs_transport_cost(cost, supply, demand)
         assert cert.cost == pytest.approx(want, rel=1e-9)
         assert cert.dual_gap <= 1e-9 * want
+
+
+class TestCertifiedStart:
+    SEEDS = range(10)
+
+    @pytest.mark.parametrize("m", [12, 50])
+    @pytest.mark.parametrize("eps", [0.01, 0.1, 0.5])
+    def test_certified_jitters_equal_the_simplex(self, m, eps):
+        certified = 0
+        for seed in self.SEEDS:
+            cost, w = jitter_instance(m, eps, seed)
+            (flows, cert), (got, got_cert) = solve_both(cost, w)
+            assert np.array_equal(got, flows)
+            assert got_cert.cost == cert.cost
+            if got_cert.iterations == 0:
+                certified += 1
+                assert got_cert.dual_gap <= 1e-12 * (1.0 + got_cert.cost)
+            else:
+                assert got_cert.iterations == cert.iterations
+        if eps <= 0.1:
+            assert certified == len(self.SEEDS)
+
+    @pytest.mark.parametrize("m", [12, 50])
+    @pytest.mark.parametrize("eps", [1.0, 2.0])
+    def test_fallback_is_the_simplex(self, m, eps):
+        fallbacks = 0
+        for seed in self.SEEDS:
+            cost, w = jitter_instance(m, eps, seed)
+            (flows, cert), (got, got_cert) = solve_both(cost, w)
+            assert np.array_equal(got, flows)
+            assert got_cert.cost == cert.cost
+            if got_cert.iterations > 0:
+                fallbacks += 1
+                assert got_cert == cert
+        assert fallbacks > 0
+
+    @pytest.mark.parametrize("m", [12, 50])
+    @pytest.mark.parametrize("eps", [0.01, 0.1, 0.5, 1.0, 2.0])
+    def test_agrees_with_highs(self, m, eps):
+        pytest.importorskip("scipy")
+        for seed in range(3):
+            cost, w = jitter_instance(m, eps, seed)
+            _, cert = solve_transport(cost, w, w, start=np.diag(w))
+            want = highs_transport_cost(cost, w, w)
+            assert cert.cost == pytest.approx(want, rel=1e-9, abs=1e-15)
+            assert cert.dual_gap <= 1e-9 * (1.0 + want)
+
+    def test_zero_weight_atoms(self):
+        x = np.array([[0.0], [1.0], [5.0], [9.0]])
+        w = np.array([0.5, 0.0, 0.5, 0.0])
+        cost = squared_distances(x, x + 0.01)
+        (flows, cert), (got, got_cert) = solve_both(cost, w)
+        assert got_cert.iterations == 0
+        assert np.array_equal(got, np.diag(w))
+        assert got_cert.cost == pytest.approx(cert.cost, abs=1e-15)
+        assert got_cert.dual_gap <= 1e-12
+
+    def test_suboptimal_start_falls_back(self):
+        # Swapping the two atoms makes the identity plan the worst one.
+        x = np.array([[0.0], [1.0]])
+        w = np.array([0.5, 0.5])
+        cost = squared_distances(x, x[::-1])
+        flows, cert = solve_transport(cost, w, w, start=np.diag(w))
+        assert cert.iterations > 0
+        assert cert.cost == 0.0
+        assert np.array_equal(flows, np.fliplr(np.diag(w)))
+
+    def test_start_is_copied(self):
+        cost, w = jitter_instance(12, 0.01, 0)
+        start = np.diag(w)
+        flows, cert = solve_transport(cost, w, w, start=start)
+        assert cert.iterations == 0
+        flows[0, 0] = 7.0
+        assert np.array_equal(start, np.diag(w))
+
+    @pytest.mark.parametrize("start, error", [
+        (np.full((2, 3), 1.0 / 6.0), DimensionMismatch),
+        (np.array([[0.6, -0.1], [-0.1, 0.6]]), MarginalMismatch),
+        (np.array([[0.5, 0.0], [0.0, 0.4]]), MarginalMismatch),
+        (np.array([[np.nan, 0.0], [0.0, 0.5]]), MarginalMismatch),
+    ])
+    def test_infeasible_starts_raise(self, start, error):
+        w = np.array([0.5, 0.5])
+        with pytest.raises(error):
+            solve_transport(np.ones((2, 2)), w, w, start=start)
 
 
 class TestGlue:
