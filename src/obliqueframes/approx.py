@@ -204,11 +204,6 @@ class InteriorityReport:
     records: tuple[InteriorityTrial, ...]
 
 
-def _jittered(nu: DiscreteMeasure, directions: np.ndarray,
-              scale: float) -> DiscreteMeasure:
-    return DiscreteMeasure(nu.points + scale * directions, nu.weights)
-
-
 def _sample_in_w2_ball(nu: DiscreteMeasure, V: Subspace, radius: float,
                        rng: np.random.Generator
                        ) -> tuple[DiscreteMeasure, Coupling]:
@@ -227,13 +222,16 @@ def _sample_in_w2_ball(nu: DiscreteMeasure, V: Subspace, radius: float,
         directions = rng.standard_normal(nu.points.shape) @ proj
 
     def distance(s: float) -> tuple[float, np.ndarray]:
-        return _solve_w2(nu, _jittered(nu, directions, s), start=identity)[:2]
+        return _solve_w2(nu.points, nu.weights, nu.points + s * directions,
+                         nu.weights, start=identity)[:2]
 
-    # The graph coupling costs s^2 * sum w ||d||^2, so this start is feasible.
+    # The graph coupling costs s^2 * sum w ||d||^2, so this start is
+    # feasible, and at the first probe it costs a few ulps under radius^2:
+    # when it is optimal, that probe lands inside the ball.
     norm2 = float(np.sum(nu.weights * np.einsum("ki,ki->k", directions, directions)))
     identity = np.diag(nu.weights)   # a plan from nu to each of its jitters
     lo, f_lo = 0.0, identity   # scale 0 leaves nu in place
-    hi = radius / np.sqrt(norm2)
+    hi = radius / np.sqrt(norm2) * (1.0 - 64.0 * np.finfo(float).eps)
     d_hi, f_hi = distance(hi)
     for _ in range(60):
         if d_hi >= 0.9 * radius:
@@ -252,7 +250,7 @@ def _sample_in_w2_ball(nu: DiscreteMeasure, V: Subspace, radius: float,
             if d_mid >= 0.9 * radius:
                 hi, d_hi, f_hi = mid, d_mid, f_mid
     scale, flows = (hi, f_hi) if d_hi <= radius else (lo, f_lo)
-    eta = _jittered(nu, directions, scale)
+    eta = DiscreteMeasure(nu.points + scale * directions, nu.weights)
     return eta, _flow_coupling(nu, eta, flows)
 
 

@@ -349,6 +349,48 @@ class TestCertifiedStart:
             assert any(pivots)
 
 
+    def test_certified_first_probe_inside_the_ball_is_the_only_solve(
+            self, monkeypatch):
+        # On the triangle at eps = 0.1 the identity plan is optimal at every
+        # first probe, which must then land inside the ball, not a few ulps
+        # past its radius, and end the trial's search.
+        from obliqueframes import transport
+
+        certified, probes, trials = [], [], []
+        certify = transport._certify_start
+        solve = approx_mod._solve_w2
+        sample = approx_mod._sample_in_w2_ball
+
+        def certifying(*args):
+            result = certify(*args)
+            certified.append(result is not None)
+            return result
+
+        def solving(*args, **kwargs):
+            result = solve(*args, **kwargs)
+            probes.append((result[0], certified[-1]))
+            return result
+
+        def sampling(nu, V, radius, rng):
+            first = len(probes)
+            result = sample(nu, V, radius, rng)
+            trials.append((radius, probes[first:]))
+            return result
+
+        monkeypatch.setattr(transport, "_certify_start", certifying)
+        monkeypatch.setattr(approx_mod, "_solve_w2", solving)
+        monkeypatch.setattr(approx_mod, "_sample_in_w2_ball", sampling)
+        R2 = full_space(2)
+        summary = interiority_experiment(mercedes_benz_measure(), R2, R2,
+                                         eps=0.1, trials=50, rng_seed=1)
+        assert summary.failures == 0
+        assert len(trials) == 50
+        for radius, calls in trials:
+            distance, was_certified = calls[0]
+            assert was_certified and 0.9 * radius <= distance <= radius
+            assert len(calls) == 1
+
+
 class TestCrossModuleConsistency:
     @given(st.integers(0, 1_000))
     def test_zero_epsilon_coincides_with_exact_duality(self, seed):
