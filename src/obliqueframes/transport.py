@@ -5,11 +5,9 @@ That it couples two given measures is a claim of the call that takes it
 with them, and is checked there (duality._validate_coupling).  The exact
 2-Wasserstein distance is computed by a transportation simplex on the
 dense cost matrix: a least-cost starting basis, Dantzig pricing, Bland's
-rule after a run of degenerate pivots so that it cannot cycle, and a basis
-tree kept as a threaded index, so that a pivot re-hangs the subtree it cuts
-off by moving one run of the preorder per node of its stem and shifts that
-subtree's potentials by one amount.  Optimality is certified through the
-LP dual, with potentials from a fresh tree walk.
+rule after a run of degenerate pivots so that it cannot cycle, and tree
+potentials updated on the subtree each pivot cuts off.  Optimality is
+certified through the LP dual, with potentials from a fresh tree walk.
 The gluing construction composes two couplings over a shared marginal.
 """
 from __future__ import annotations
@@ -130,120 +128,48 @@ def _adjacency(in_basis: np.ndarray) -> list[list[int]]:
     return adj
 
 
-def _walk(cost: list[list[float]], in_basis: np.ndarray):
-    """One depth-first walk of the basis tree from row 0.
+def _tree_duals(cost: list[list[float]], in_basis: np.ndarray):
+    """Row and column potentials of the basis tree, from one DFS at row 0.
 
-    Returns the nodes in preorder, in which every subtree is one contiguous
-    run, and each node's parent and potential: its cell's cost minus its
-    parent's potential, and 0 at row 0.  Nodes the walk does not reach keep
-    parent -1 and a NaN potential.
+    Nodes 0..m-1 are the rows and m..m+k-1 the columns.  Each potential is
+    its cell's cost minus its tree parent's potential, and row 0's is 0.
+    Nodes the walk does not reach keep a NaN potential.
     """
     m, k = in_basis.shape
     adj = _adjacency(in_basis)
-    parent = [-1] * (m + k)
     pot = [float("nan")] * (m + k)
     seen = [False] * (m + k)
     pot[0] = 0.0
     seen[0] = True
-    order, stack = [], [0]
+    stack = [0]
     while stack:
         a = stack.pop()
-        order.append(a)
         for b in adj[a]:
             if not seen[b]:
                 seen[b] = True
-                parent[b] = a
                 pot[b] = (cost[a][b - m] if a < m else cost[b][a - m]) - pot[a]
                 stack.append(b)
-    return order, parent, pot
-
-
-def _tree_duals(cost: list[list[float]], in_basis: np.ndarray):
-    """Row and column potentials of the basis tree, from one walk at row 0;
-    NaN at the nodes it does not reach."""
-    pot = _walk(cost, in_basis)[2]
-    m = in_basis.shape[0]
     return np.array(pot[:m]), np.array(pot[m:])
 
 
-class _BasisTree:
-    """The basis tree as a threaded index (Ahuja, Magnanti and Orlin,
-    Network Flows, 1993, ch. 11), rooted at row 0.
+def _hang(node: int, cost: list[list[float]], adj: list[list[int]],
+          pot: list[float], parent: list[int], depth: list[int]):
+    """Re-derive parent links, depths and potentials below `node`.
 
-    Nodes 0..m-1 are the rows and m..m+k-1 the columns.  `order` is a
-    depth-first preorder in which the subtree of x is the run
-    order[pos[x] : pos[x] + size[x]]; `parent[x]` is x's parent and
-    `edge[x]` the flat index of the basic cell joining them.  A pivot never
-    cuts the root off, so it stays row 0, with parent -1 and no edge.
+    `parent[node]`, `depth[node]` and `pot[node]` must already be set; every
+    other node reachable from `node` without passing its parent is re-hung
+    under it, its potential being its cell's cost minus its new parent's.
     """
-
-    def __init__(self, order: list[int], parent: list[int], m: int, k: int):
-        self.order, self.parent = order, parent
-        self.pos = [0] * (m + k)
-        self.size = [1] * (m + k)
-        for t, x in enumerate(order):
-            self.pos[x] = t
-        for x in reversed(order[1:]):
-            self.size[parent[x]] += self.size[x]
-        self.edge = [x * k + parent[x] - m if x < m else parent[x] * k + x - m
-                     for x in range(m + k)]
-
-    def paths(self, a: int, b: int) -> tuple[list[int], list[int]]:
-        """The tree paths from a and from b up to their nearest common
-        ancestor, which neither includes."""
-        parent, pos, size = self.parent, self.pos, self.size
-        at = pos[b]
-        up_a = []
-        while not pos[a] <= at < pos[a] + size[a]:
-            up_a.append(a)
-            a = parent[a]
-        up_b = []
-        while b != a:
-            up_b.append(b)
-            b = parent[b]
-        return up_a, up_b
-
-    def rehang(self, stem: list[int], top: int, cell: int,
-               grow: list[int], shrink: list[int]) -> list[int]:
-        """Cut the edge above stem[-1] and hang its subtree from `top` by
-        `cell`, re-rooted at stem[0]; returns the nodes moved.
-
-        The stem is the tree path up from stem[0] to stem[-1]; its links
-        reverse.  `grow` are the nodes from `top` up to the entering cycle's
-        apex and `shrink` those from above stem[-1] up to it: they gain and
-        lose the moved nodes, and the apex keeps its size.  In the preorder
-        the moved subtree becomes one run per stem node, placed just after
-        `top`; only the positions between its old and new places change.
-        """
-        parent, pos, size, order, edge = (self.parent, self.pos, self.size,
-                                          self.order, self.edge)
-        x, q = stem[-1], stem[0]
-        lo, s = pos[x], size[x]
-        moved = order[pos[q]:pos[q] + size[q]]
-        for a, b in zip(stem, stem[1:]):
-            moved += order[pos[b]:pos[a]]
-            moved += order[pos[a] + size[a]:pos[b] + size[b]]
-        at = pos[top]
-        if at < lo:
-            first, run = at + 1, moved + order[at + 1:lo]
-        else:
-            first, run = lo, order[lo + s:at + 1] + moved
-        order[first:first + len(run)] = run
-        for t, y in enumerate(run, first):
-            pos[y] = t
-        for a in grow:
-            size[a] += s
-        for a in shrink:
-            size[a] -= s
-        # Up the stem, each node takes its child's old edge and keeps what
-        # of the subtree lay outside its child's old subtree.
-        below, under = size[q], edge[q]
-        size[q], parent[q], edge[q] = s, top, cell
-        for a, b in zip(stem, stem[1:]):
-            below, size[b] = size[b], s - below
-            under, edge[b] = edge[b], under
-            parent[b] = a
-        return moved
+    m = len(cost)
+    stack = [node]
+    while stack:
+        a = stack.pop()
+        for b in adj[a]:
+            if b != parent[a]:
+                parent[b] = a
+                depth[b] = depth[a] + 1
+                pot[b] = (cost[a][b - m] if a < m else cost[b][a - m]) - pot[a]
+                stack.append(b)
 
 
 # Consecutive degenerate pivots (theta = 0) after which the entering cell is
@@ -296,14 +222,14 @@ def solve_transport(cost: np.ndarray, supply: np.ndarray, demand: np.ndarray,
     cells in ascending cost.  The entering cell has the most negative
     reduced cost (Dantzig's rule); after DEGENERATE_RUN consecutive
     degenerate pivots it is the least-index improving cell (Bland's rule)
-    until flow moves again.  The leaving cell is the least-index blocking
-    cell of the entering cycle.  The basis tree is a threaded index
-    (_BasisTree): a pivot re-hangs the subtree that the leaving cell cuts
-    off under the entering cell by moving one run of the preorder per node
-    of its stem, and shifts the moved potentials by one amount.  Optimality
-    is certified by one fresh walk of the final tree, whose potentials
-    price every cell again and give the dual gap.  Returns the optimal
-    flows and a duality certificate.
+    until flow moves again.  The leaving cell
+    is the least-index blocking cell of the entering cycle.  The basis tree
+    keeps its adjacency, parent links and depths across pivots; a pivot
+    re-hangs only the subtree that the leaving cell cuts off, under the
+    entering cell, and re-prices that subtree's potentials.  Optimality is
+    certified by one fresh walk of the final tree, whose potentials price
+    every cell again and give the dual gap.  Returns the optimal flows and
+    a duality certificate.
     """
     cost = np.asarray(cost, dtype=float)
     supply = np.asarray(supply, dtype=float).copy()
@@ -322,13 +248,11 @@ def solve_transport(cost: np.ndarray, supply: np.ndarray, demand: np.ndarray,
     flows, in_basis = _least_cost_basis(cost, supply, demand)
     flow = flows.tolist()
     cost_rows = cost.tolist()
-    order, parent, pot = _walk(cost_rows, in_basis)
-    tree = _BasisTree(order, parent, m, k)
-    # Column potentials are kept negated: a basic cell (i, j) has
-    # pot[i] - pot[m + j] = c_ij, so re-hanging a subtree shifts all of its
-    # potentials by one amount.
-    pot = np.array(pot)
-    pot[m:] = -pot[m:]
+    adj = _adjacency(in_basis)
+    pot = [0.0] * (m + k)
+    parent = [0] * (m + k)
+    depth = [0] * (m + k)
+    _hang(0, cost_rows, adj, pot, parent, depth)
     reduced = np.empty_like(cost)
 
     iterations = 0
@@ -336,10 +260,10 @@ def solve_transport(cost: np.ndarray, supply: np.ndarray, demand: np.ndarray,
     fresh = False
     max_pivots = 200 * (m * k + 10)
     while True:
-        # Basic cells price at zero up to a round-off far below scale, so
-        # neither rule can take one.
-        np.subtract(cost, pot[:m, None], out=reduced)
-        reduced += pot[m:]
+        p = np.array(pot)
+        np.subtract(cost, p[:m, None], out=reduced)
+        reduced -= p[m:]
+        reduced[in_basis] = 0.0
         if degenerate < DEGENERATE_RUN:
             first = int(np.argmin(reduced))
         else:
@@ -347,14 +271,13 @@ def solve_transport(cost: np.ndarray, supply: np.ndarray, demand: np.ndarray,
         if not reduced.flat[first] < -scale:
             if fresh:
                 break
-            # Certify with an independent walk of the basis cells, whose
-            # potentials carry none of the round-off of the shifts.
-            in_basis = np.zeros((m, k), dtype=bool)
-            in_basis.flat[tree.edge[1:]] = True
+            # Certify with an independent walk of the basis mask.  It
+            # re-derives the potentials that _hang keeps along the same tree
+            # paths, so on a sound tree the two agree bit for bit.
             u, v = _tree_duals(cost_rows, in_basis)
             if np.isnan(u).any() or np.isnan(v).any():
                 raise InternalConsistencyError("basis tree lost connectivity")
-            pot = np.concatenate([u, -v])
+            pot = u.tolist() + v.tolist()
             fresh = True
             continue
         fresh = False
@@ -362,12 +285,20 @@ def solve_transport(cost: np.ndarray, supply: np.ndarray, demand: np.ndarray,
         if iterations > max_pivots:
             raise NonConvergence("transportation simplex exceeded pivot budget")
         i, j = divmod(first, k)
-        # The cycle runs from column j up to the apex of the entering cell's
-        # tree path and down to row i; its cells alternate -, + after the
-        # entering cell's +.  Each tree cell is named by its lower node.
-        row_side, col_side = tree.paths(i, m + j)
+        # Walk both ends of the entering cell up to their common ancestor.
+        # The cycle runs from column j up to it and down to row i; its cells
+        # alternate -, + after the entering cell's +.  Each tree cell is
+        # named by its lower node.
+        a, b = i, m + j
+        row_side, col_side = [], []
+        while a != b:
+            if depth[a] >= depth[b]:
+                row_side.append(a)
+                a = parent[a]
+            else:
+                col_side.append(b)
+                b = parent[b]
         lower = col_side + row_side[::-1]
-        parent = tree.parent
         cells = [(x, parent[x] - m) if x < m else (parent[x], x - m)
                  for x in lower]
         minus = cells[0::2]
@@ -383,22 +314,24 @@ def solve_transport(cost: np.ndarray, supply: np.ndarray, demand: np.ndarray,
                 flow[a][b] = max(flow[a][b] - theta, 0.0)
         else:
             degenerate += 1
-        # The leaving cell cuts off the subtree holding the entering cell's
-        # end on its side of the cycle; it is re-hung from the other end.
-        if cut < len(col_side):
-            stem, top = col_side[:cut + 1], i
-            grow, shrink = row_side, col_side[cut + 1:]
-            shift = pot[i] - cost_rows[i][j] - pot[m + j]
-        else:
-            r = len(lower) - cut
-            stem, top = row_side[:r], m + j
-            grow, shrink = col_side, row_side[r:]
-            shift = cost_rows[i][j] + pot[m + j] - pot[i]
-        pot[np.array(tree.rehang(stem, top, first, grow, shrink))] += shift
+        in_basis[leaving] = False
+        in_basis[i, j] = True
+        x = lower[cut]
+        adj[x].remove(parent[x])
+        adj[parent[x]].remove(x)
+        adj[i].append(m + j)
+        adj[m + j].append(i)
+        # The subtree below x holds the entering cell's column when x lies
+        # on the column side; it is re-hung from that end of the cell.
+        top, bottom = (i, m + j) if cut < len(col_side) else (m + j, i)
+        parent[bottom] = top
+        depth[bottom] = depth[top] + 1
+        pot[bottom] = cost_rows[i][j] - pot[top]
+        _hang(bottom, cost_rows, adj, pot, parent, depth)
 
     flows = np.array(flow)
     primal = float(np.sum(flows * cost))
-    dual = float(np.dot(pot[:m], supply) - np.dot(pot[m:], demand))
+    dual = float(np.dot(p[:m], supply) + np.dot(p[m:], demand))
     return flows, TransportCertificate(cost=primal,
                                        dual_gap=abs(primal - dual),
                                        iterations=iterations)
