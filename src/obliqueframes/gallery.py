@@ -11,7 +11,7 @@ import numpy as np
 
 from .errors import NonConvergence
 from .frames import FiniteFrame, ObliqueDualPair, canonical_oblique_dual
-from .linalg import DEFAULT_TOL, Subspace, Tolerance, orthonormal_basis
+from .linalg import Subspace, orthonormal_basis
 from .measures import DiscreteMeasure, dirac, uniform_atoms
 from .transport import Coupling, product_coupling
 
@@ -66,48 +66,48 @@ def skew_line_measures() -> tuple[DiscreteMeasure, DiscreteMeasure, Coupling]:
     return mu, nu, product_coupling(mu, nu)
 
 
-# ---------------------------------------------------------------------------
-# Seeded random instances
-
-
 def random_subspace(rng: np.random.Generator, n: int, d: int) -> Subspace:
     return orthonormal_basis(list(rng.standard_normal((d, n))))
 
 
-def random_frame(rng: np.random.Generator, W: Subspace, N: int,
-                 tol: Tolerance = DEFAULT_TOL) -> FiniteFrame:
-    """N random vectors spanning W, redrawn until well conditioned."""
-    d = W.dim
+def _random_orthogonal(rng: np.random.Generator, n: int) -> np.ndarray:
+    q, r = np.linalg.qr(rng.standard_normal((n, n)))
+    return q * np.sign(np.diag(r))
+
+
+def _spanning_coefficients(rng: np.random.Generator, rows: int, d: int) -> np.ndarray:
+    """rows x d Gaussian coefficients, redrawn until sigma_min > 0.2."""
     for _ in range(100):
-        coeff = rng.standard_normal((N, d))
-        s = np.linalg.svd(coeff, compute_uv=False)
-        if s[-1] > 0.2:
-            return FiniteFrame.create(coeff @ W.basis.T, W, tol)
-    raise NonConvergence("failed to draw a well-conditioned frame")
+        coeff = rng.standard_normal((rows, d))
+        if np.linalg.svd(coeff, compute_uv=False)[-1] > 0.2:
+            return coeff
+    raise NonConvergence("failed to draw well-conditioned coefficients")
+
+
+def random_frame(rng: np.random.Generator, W: Subspace, N: int) -> FiniteFrame:
+    """N random vectors spanning W with margin."""
+    return FiniteFrame.create(_spanning_coefficients(rng, N, W.dim) @ W.basis.T, W)
 
 
 def random_admissible_pair(rng: np.random.Generator, n: int, d: int,
                            min_cos: float = 0.25) -> tuple[Subspace, Subspace]:
-    """Two d-dimensional subspaces forming a well-conditioned direct sum."""
-    from .linalg import subspace_angle_cos
-    for _ in range(500):
-        W = random_subspace(rng, n, d)
-        V = random_subspace(rng, n, d)
-        if W.dim == V.dim == d and \
-                min(subspace_angle_cos(W, V), subspace_angle_cos(V, W)) >= min_cos:
-            return W, V
-    raise NonConvergence("failed to draw an admissible subspace pair")
+    """d-dimensional W, V of R^n with smallest principal cosine min_cos (1 if
+    d = n): V tilts W into its complement; both bases rotate within their spans."""
+    if not 0.0 < min_cos <= 1.0:
+        raise ValueError(f"min_cos must lie in (0, 1], got {min_cos}")
+    Q = _random_orthogonal(rng, n)
+    k = min(d, n - d)
+    c = rng.uniform(min_cos, 1.0, k)  # cosines of the k tilted directions
+    c[:1] = min_cos
+    V = np.hstack([Q[:, :k] * c + Q[:, d:d + k] * np.sqrt(1.0 - c ** 2), Q[:, k:d]])
+    return (Subspace(n, Q[:, :d] @ _random_orthogonal(rng, d)),
+            Subspace(n, V @ _random_orthogonal(rng, d)))
 
 
 def random_measure_on(rng: np.random.Generator, W: Subspace, m: int) -> DiscreteMeasure:
     """m weighted atoms spanning W, weights bounded away from zero."""
-    d = W.dim
-    if m < d:
-        raise ValueError(f"need at least {d} atoms to span the subspace")
-    for _ in range(100):
-        coeff = rng.standard_normal((m, d))
-        s = np.linalg.svd(coeff, compute_uv=False)
-        if s[-1] > 0.2:
-            w = 0.2 + rng.random(m)
-            return DiscreteMeasure(coeff @ W.basis.T, w / np.sum(w))
-    raise NonConvergence("failed to draw a spanning measure")
+    if m < W.dim:
+        raise ValueError(f"need at least {W.dim} atoms to span the subspace")
+    coeff = _spanning_coefficients(rng, m, W.dim)
+    w = 0.2 + rng.random(m)
+    return DiscreteMeasure(coeff @ W.basis.T, w / np.sum(w))

@@ -224,10 +224,12 @@ def spectral_norm(M) -> float:
 
 
 def psd_sqrt(M) -> np.ndarray:
-    """Symmetric square root of a PSD matrix, eigenvalues clamped at 0."""
+    """Symmetric square root of a PSD matrix.  Eigenvalues at or below the
+    rank cutoff are round-off, whose roots would be of order sqrt(eps)
+    instead of eps, so they are zeroed as the pseudoinverse zeroes them."""
     M = _as_float_array(M, "matrix")
     vals, vecs = np.linalg.eigh(0.5 * (M + M.T))
-    vals = np.clip(vals, 0.0, None)
+    vals = np.where(_above_cutoff(vals, M.shape[0]), vals, 0.0)
     return (vecs * np.sqrt(vals)) @ vecs.T
 
 

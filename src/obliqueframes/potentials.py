@@ -9,6 +9,7 @@ saturation is an equiangular-tightness certificate.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,6 +28,8 @@ from .linalg import (
 
 # Absolute tolerance for declaring a bound saturated on unit-scale fixtures.
 SATURATION_TOL = 1e-8
+# Largest potential order: past it |x|^p overflows a double for every |x| >= 2.
+MAX_ORDER = 1024.0
 # Descent constants: random start scale, Armijo slope, backtracking factor.
 INIT_SCALE = 0.5
 ARMIJO_C = 1e-4
@@ -53,7 +56,20 @@ class CoherenceReport:
 
 
 def _is_even_order(p: float) -> bool:
-    return p > 0 and abs(p - round(p)) < 1e-12 and round(p) % 2 == 0
+    """The one check of a potential order: ValueError unless p lies in
+    (0, MAX_ORDER]; then whether p is even, to 1e-12."""
+    if not 0.0 < p <= MAX_ORDER:
+        raise ValueError(f"potential order p must lie in (0, {MAX_ORDER:g}], got {p}")
+    return abs(p - round(p)) < 1e-12 and round(p) % 2 == 0
+
+
+def _power_sum(x: np.ndarray, p: float) -> float:
+    """sum |x|^p, refused when it overflows a double."""
+    with np.errstate(over="ignore"):
+        value = float(np.sum(np.abs(x) ** p))
+    if not math.isfinite(value):
+        raise ValueError(f"the order-{p:g} potential overflows a double")
+    return value
 
 
 def mixed_gram_entries(pair: ObliqueDualPair) -> np.ndarray:
@@ -69,14 +85,13 @@ def dual_p_potential(pair: ObliqueDualPair, p: float = 2.0,
     p only the value is reported.
     """
     require_dual(pair.residual, tol)
-    if not p > 0:
-        raise ValueError("potential order p must be positive")
-    G = mixed_gram_entries(pair)
-    value = float(np.sum(np.abs(G) ** p))
+    even = _is_even_order(p)
+    value = _power_sum(mixed_gram_entries(pair), p)
     N = len(pair.synthesis)
     d = pair.synthesis.subspace.dim
-    if _is_even_order(p):
-        lower = float(d) if p == 2 else float(N ** (2.0 - p) * d ** (p / 2.0))
+    if even:
+        # N^2 (sqrt(d)/N)^p: a frame has N >= d, so the power cannot overflow.
+        lower = float(d) if p == 2 else N * N * (math.sqrt(d) / N) ** p
         gap = value - lower
         return PotentialReport(p, value, lower, gap, saturated=gap <= SATURATION_TOL)
     return PotentialReport(p, value, None, None, saturated=False)
@@ -90,14 +105,13 @@ def diagonal_potential(pair: ObliqueDualPair, p: float = 2.0,
     saturated exactly when every diagonal entry equals d_W/N.
     """
     require_dual(pair.residual, tol)
-    if not p > 0:
-        raise ValueError("potential order p must be positive")
+    even = _is_even_order(p)
     diag = np.einsum("ij,ij->i", pair.synthesis.vectors, pair.analysis.vectors)
-    value = float(np.sum(np.abs(diag) ** p))
+    value = _power_sum(diag, p)
     N = len(pair.synthesis)
     d = pair.synthesis.subspace.dim
-    if _is_even_order(p):
-        lower = float(d * d / N) if p == 2 else float(N ** (1.0 - p) * d ** p)
+    if even:
+        lower = float(d * d / N) if p == 2 else N * (d / N) ** p
         saturated = bool(np.max(np.abs(diag - d / N)) <= SATURATION_TOL)
         return PotentialReport(p, value, lower, value - lower, saturated)
     return PotentialReport(p, value, None, None, saturated=False)
@@ -115,11 +129,13 @@ def constant_diagonal_bound(N: int, d: int, p: float) -> float:
     diagonal; tight exactly for equiangular canonical duals."""
     if not _is_even_order(p):
         raise ValueError("the refined bound applies to even orders only")
-    diag_term = float(d) ** p / float(N) ** (p - 1.0)
+    # d^p / N^(p-1) and |d - d^2/N|^k / (N (N-1))^(k-1), written as powers
+    # of ratios at most 1 for d <= N so that no factor overflows.
+    diag_term = N * (d / N) ** p
     if N <= 1:
         return diag_term
     k = p / 2.0
-    off = abs(d - d * d / N) ** k / (N ** (k - 1.0) * (N - 1.0) ** (k - 1.0))
+    off = N * (N - 1.0) * (abs(d - d * d / N) / (N * (N - 1.0))) ** k
     return off + diag_term
 
 

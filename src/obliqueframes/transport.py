@@ -229,9 +229,10 @@ def solve_transport(cost: np.ndarray, supply: np.ndarray, demand: np.ndarray,
     entering cell, and re-prices that subtree's potentials.  Optimality is
     certified by one fresh walk of the final tree, whose potentials price
     every cell again and give the dual gap.  Returns the optimal flows and
-    a duality certificate.
+    a duality certificate.  A cost with a non-finite entry, such as a
+    squared distance that overflowed, is a ValueError.
     """
-    cost = np.asarray(cost, dtype=float)
+    cost = _as_float_array(cost, "transport cost")
     supply = np.asarray(supply, dtype=float).copy()
     demand = np.asarray(demand, dtype=float).copy()
     m, k = cost.shape

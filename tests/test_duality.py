@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from obliqueframes import (
+    DEFAULT_TOL,
     Coupling,
     DiscreteMeasure,
     MarginalMismatch,
@@ -167,6 +168,28 @@ class TestIsObliqueDualMeasure:
                 assert abs(bilinear - float(g @ pi_wv @ f)) <= budget
                 bilinear = float(np.sum(w * (x @ f) * (y @ g)))
                 assert abs(bilinear - float(g @ pi_wv.T @ f)) <= budget
+
+
+class TestEnvelope:
+    """Canonical duals at the advertised envelope: n = 64, d = 32 and 200
+    atoms or vectors, at principal cosines down to 1e-2.  Smaller cosines
+    condition pi_{W,V} past the absolute eq_tol of the dual check."""
+
+    @pytest.mark.parametrize("c", [0.25, 0.7, 1e-2])
+    def test_canonical_dual_measure_is_certified(self, c):
+        rng = np.random.default_rng(64)
+        W, V = random_admissible_pair(rng, 64, 32, min_cos=c)
+        mu = random_measure_on(rng, W, 200)
+        nu, gamma = canonical_dual_measure(mu, W, V)
+        ok, resid = is_oblique_dual_measure(mu, nu, gamma)
+        assert ok and resid <= DEFAULT_TOL.eq_tol
+
+    @pytest.mark.parametrize("c", [0.25, 0.7, 1e-2])
+    def test_canonical_oblique_dual_frame_is_certified(self, c):
+        rng = np.random.default_rng(32)
+        W, V = random_admissible_pair(rng, 64, 32, min_cos=c)
+        pair = canonical_oblique_dual(random_frame(rng, W, 200), V)
+        assert pair.residual <= DEFAULT_TOL.eq_tol
 
 
 class TestLemmaBridgeAndBounds:

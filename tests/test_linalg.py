@@ -7,7 +7,6 @@ from hypothesis import example, given, strategies as st
 from obliqueframes import (
     AllZero,
     DirectSumViolation,
-    NonConvergence,
     Subspace,
     Tolerance,
     oblique_projection,
@@ -132,11 +131,35 @@ class TestSubspaceAngles:
         V = random_subspace(np.random.default_rng(0), 3, 2)
         assert subspace_angle_cos(W, V) == 0.0
 
-    def test_exhausted_redraw_budget_is_nonconvergence(self):
-        # Random 24-dimensional subspaces of R^32 almost never meet the
-        # default min_cos of 0.25, so every one of the 500 redraws fails.
-        with pytest.raises(NonConvergence, match="admissible subspace pair"):
-            random_admissible_pair(np.random.default_rng(0), 32, 24)
+
+class TestRandomAdmissiblePair:
+    """The generator builds its pair: the smallest principal cosine from
+    either side equals min_cos for any n and d, in one call."""
+
+    @pytest.mark.parametrize("c", [1e-6, 0.25, 0.7])
+    def test_envelope_pair_has_the_requested_cosine(self, c):
+        W, V = random_admissible_pair(np.random.default_rng(0), 64, 32, min_cos=c)
+        assert W.dim == V.dim == 32
+        assert abs(subspace_angle_cos(W, V) - c) <= 1e-14
+        assert abs(subspace_angle_cos(V, W) - c) <= 1e-14
+
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    def test_full_dimension_is_the_whole_space(self, n):
+        W, V = random_admissible_pair(np.random.default_rng(n), n, n, min_cos=0.3)
+        assert W.dim == V.dim == n
+        assert abs(subspace_angle_cos(W, V) - 1.0) <= 1e-14
+        assert abs(subspace_angle_cos(V, W) - 1.0) <= 1e-14
+
+    @pytest.mark.parametrize("n", [2, 3, 64])
+    def test_lines(self, n):
+        W, V = random_admissible_pair(np.random.default_rng(n), n, 1, min_cos=0.4)
+        assert W.dim == V.dim == 1
+        assert abs(abs(float(W.basis[:, 0] @ V.basis[:, 0])) - 0.4) <= 1e-14
+
+    @pytest.mark.parametrize("c", [0.0, -0.5, 1.5, np.nan, np.inf])
+    def test_min_cos_outside_unit_interval_is_rejected(self, c):
+        with pytest.raises(ValueError, match="min_cos"):
+            random_admissible_pair(np.random.default_rng(0), 4, 2, min_cos=c)
 
 
 class TestOrthogonalProjection:
@@ -233,6 +256,18 @@ def test_psd_sqrt_and_pinv_sqrt():
     P = Rinv @ M @ Rinv
     assert np.allclose(P @ P, P, atol=1e-9)
     assert np.trace(P) == pytest.approx(2.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_psd_sqrt_keeps_the_kernel_of_a_rank_deficient_matrix(seed):
+    # Round-off eigenvalues of order eps * ||M|| on the kernel used to come
+    # back as roots of order sqrt(eps * ||M||), about 1e-6 here.
+    rng = np.random.default_rng(seed)
+    B = 100.0 * rng.standard_normal((6, 2))
+    Q, _ = np.linalg.qr(B, mode="complete")
+    R = psd_sqrt(B @ B.T)
+    assert np.linalg.norm(R @ Q[:, 2:]) <= 1e-12 * np.linalg.norm(R)
+    assert np.allclose(R @ R, B @ B.T, rtol=0.0, atol=1e-10 * np.linalg.norm(B) ** 2)
 
 
 class TestFrameTestKernel:

@@ -33,6 +33,7 @@ from obliqueframes.gallery import (
     skew_line_subspaces,
     standard_basis_frame,
 )
+from obliqueframes.potentials import MAX_ORDER
 
 
 def sign_line_pair():
@@ -363,3 +364,37 @@ class TestOptimizerOptionRanges:
 
     def test_zero_grad_tol_is_allowed(self):
         assert OptimizerOptions(grad_tol=0.0).grad_tol == 0.0
+
+
+class TestPotentialOrderRange:
+    """One check of p: an order outside (0, MAX_ORDER] is a ValueError at
+    every entry, and no power of an accepted order overflows a bound."""
+
+    @pytest.mark.parametrize("p", [np.inf, np.nan, 0.0, -2.0, 2100.0])
+    @pytest.mark.parametrize("op", [dual_p_potential, diagonal_potential])
+    def test_potentials_reject_the_order(self, op, p):
+        with pytest.raises(ValueError, match="potential order p must lie in"):
+            op(mercedes_benz_pair(), p)
+
+    @pytest.mark.parametrize("p", [np.inf, 2100.0])
+    def test_minimizer_and_refined_bound_reject_the_order(self, p):
+        with pytest.raises(ValueError, match="potential order p must lie in"):
+            minimize_dual_potential(mercedes_benz_frame(), full_space(2), p)
+        with pytest.raises(ValueError, match="potential order p must lie in"):
+            constant_diagonal_bound(3, 2, p)
+
+    def test_largest_order_has_finite_bounds(self):
+        # d^(p/2) and d^p alone overflow here; the bounds are below 1.
+        pair = canonical_oblique_dual(standard_basis_frame(64), full_space(64))
+        for op in (dual_p_potential, diagonal_potential):
+            rep = op(pair, MAX_ORDER)
+            assert 0.0 <= rep.lower_bound <= rep.value
+        assert 0.0 < constant_diagonal_bound(3, 2, MAX_ORDER) < 1.0
+
+    def test_overflowing_potential_is_refused(self):
+        # Mixed Gram entries 5.5 and -4.5: their 1000th powers overflow.
+        F = FiniteFrame.create([[1.0], [1.0]], full_space(1))
+        pair = oblique_dual_family(F, full_space(1), np.array([[5.0], [-5.0]]))
+        for op in (dual_p_potential, diagonal_potential):
+            with pytest.raises(ValueError, match="overflows a double"):
+                op(pair, 1000.0)

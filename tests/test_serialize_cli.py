@@ -817,6 +817,40 @@ class TestMinimizeRanges:
         assert capsys.readouterr().err == f"error: {message}\n"
 
 
+class TestOverflowingArguments:
+    """Orders and distances past the double range exit 2 with one error
+    line and no report, instead of a traceback or exit 5."""
+
+    @pytest.mark.parametrize("argv", [
+        ["potential", "mercedes_benz_pair.json", "--p", "inf"],
+        ["potential", "mercedes_benz_pair.json", "--p", "inf", "--diagonal"],
+        ["potential", "mercedes_benz_pair.json", "--p", "2100"],
+        ["minimize", "mercedes_benz_frame.json", "plane.json", "--p", "inf"],
+    ])
+    def test_potential_order_out_of_range(self, capsys, argv):
+        args = [fixture(a) if a.endswith(".json") else a for a in argv]
+        assert run_cli(*args) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: potential order p must lie in (0, 1024]")
+        assert err.count("\n") == 1
+
+    def test_interiority_with_overflowing_distances(self, capsys):
+        assert run_cli("interiority", fixture("mercedes_benz_measure.json"),
+                       fixture("plane.json"), fixture("plane.json"),
+                       "--eps", "1e200", "--trials", "2") == 2
+        assert capsys.readouterr() == (
+            "", "error: transport cost contains non-finite entries\n")
+
+    def test_w2_with_overflowing_distances(self, tmp_path, capsys):
+        far = tmp_path / "far.json"
+        far.write_text(json.dumps({"ambient_dim": 1, "points": [[0.0], [1e200]],
+                                   "weights": [0.5, 0.5]}))
+        assert run_cli("w2", str(far), str(far)) == 2
+        assert capsys.readouterr() == (
+            "", "error: transport cost contains non-finite entries\n")
+
+
 class TestDerivedNotDeclared:
     """A pair's residual is computed from its frames, never read from its
     file, so a forged pair cannot pass as a dual."""

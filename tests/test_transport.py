@@ -315,6 +315,16 @@ class TestExactW2:
         with pytest.raises(InternalConsistencyError, match="connectivity"):
             solve_transport(np.ones((2, 2)), [0.5, 0.5], [0.5, 0.5])
 
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_cost_is_rejected_before_any_start(self, bad):
+        # Unchecked, an inf entry came back as a certificate with a nan cost
+        # and dual gap, and the interiority sampler hit a lost basis tree.
+        cost = np.array([[0.0, bad], [bad, 0.0]])
+        w = np.array([0.5, 0.5])
+        for start in (None, np.diag(w)):
+            with pytest.raises(ValueError, match="non-finite"):
+                solve_transport(cost, w, w, start=start)
+
     def test_exhausted_pivot_budget_is_nonconvergence(self, monkeypatch):
         # Duals that price every nonbasic cell negative keep it pivoting.
         real_tree_duals = transport._tree_duals
