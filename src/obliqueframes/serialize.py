@@ -1,11 +1,12 @@
 """Canonical JSON fixtures and reports, and the interiority CSV.
 
 This module owns every schema the CLI writes: typed fixtures through their
-*_to_obj functions, report dataclasses by their fields in declaration
-order, and the per-trial interiority CSV.  All numbers are written with 17
-significant digits so that parsing and re-serializing a canonical file is
-byte-identical and floats round-trip exactly.  Parse failures raise
-ParseError naming the offending field.
+*_to_obj functions, couplings and tricouplings as records (_emit_records),
+report dataclasses by their fields in declaration order, and the per-trial
+interiority CSV.  All numbers are written with 17 significant digits so
+that parsing and re-serializing a canonical file is byte-identical and
+floats round-trip exactly.  Parse failures raise ParseError naming the
+offending field.
 """
 from __future__ import annotations
 
@@ -64,6 +65,8 @@ def _emit(obj, indent: int) -> str:
             for k, v in obj.items()
         )
         return "{\n" + inner + "\n" + pad + "}"
+    if type(obj) in _RECORDS:
+        return _emit_records(obj, indent)
     to_obj = _SERIALIZERS.get(type(obj))
     if to_obj is not None:
         return _emit(to_obj(obj), indent)
@@ -71,6 +74,30 @@ def _emit(obj, indent: int) -> str:
         return _emit({f.name: getattr(obj, f.name)
                       for f in dataclasses.fields(obj)}, indent)
     raise TypeError(f"cannot serialize objects of type {type(obj).__name__}")
+
+
+# A coupling is {"pairs": [[x, y, w], ...]}, a tricoupling
+# {"triples": [[x, y, z, w], ...]}: one record per weight, its blocks in order.
+_RECORDS = {Coupling: ("pairs", ("x", "y")),
+            TriCoupling: ("triples", ("x", "y", "z"))}
+
+
+def _emit_records(obj, indent: int) -> str:
+    """obj in the record schema above, laid out as _emit lays out that dict
+    of nested lists; finiteness is checked once, and each record is
+    formatted from one template."""
+    key, fields = _RECORDS[type(obj)]
+    blocks = [getattr(obj, f) for f in fields]
+    table = np.column_stack([*blocks, obj.weights])
+    if not np.isfinite(table).all():
+        raise ValueError("cannot serialize non-finite numbers")
+    pad, outer, inner = ("  " * (indent + i) for i in (0, 2, 3))
+    rows = ["[" + ", ".join(["%.17g"] * b.shape[1]) + "]" for b in blocks]
+    template = (outer + "[\n" + inner + (",\n" + inner).join(rows + ["%.17g"])
+                + "\n" + outer + "]")
+    records = ",\n".join([template % tuple(r) for r in table.tolist()])
+    body = "[\n" + records + "\n" + pad + "  ]" if records else "[]"
+    return "{\n" + pad + f'  "{key}": ' + body + "\n" + pad + "}"
 
 
 def dumps_canonical(obj) -> str:
@@ -214,15 +241,6 @@ def measure_from_obj(obj) -> DiscreteMeasure:
         raise ParseError(f"invalid measure: {exc}") from exc
 
 
-def coupling_to_obj(gamma: Coupling) -> dict:
-    return {
-        "pairs": [
-            [gamma.x[k].tolist(), gamma.y[k].tolist(), float(gamma.weights[k])]
-            for k in range(gamma.num_pairs)
-        ],
-    }
-
-
 def coupling_from_obj(obj) -> Coupling:
     pairs = _require(obj, "pairs")
     if not isinstance(pairs, list) or not pairs:
@@ -249,16 +267,6 @@ def coupling_from_obj(obj) -> Coupling:
         raise ParseError(f"invalid coupling: {exc}") from exc
 
 
-def tricoupling_to_obj(tri: TriCoupling) -> dict:
-    return {
-        "triples": [
-            [tri.x[k].tolist(), tri.y[k].tolist(), tri.z[k].tolist(),
-             float(tri.weights[k])]
-            for k in range(tri.weights.shape[0])
-        ],
-    }
-
-
 _PARSERS = {
     "subspace": subspace_from_obj,
     "frame": frame_from_obj,
@@ -272,8 +280,6 @@ _SERIALIZERS = {
     FiniteFrame: frame_to_obj,
     ObliqueDualPair: pair_to_obj,
     DiscreteMeasure: measure_to_obj,
-    Coupling: coupling_to_obj,
-    TriCoupling: tricoupling_to_obj,
 }
 
 

@@ -266,10 +266,11 @@ def solve_transport(cost: np.ndarray, supply: np.ndarray, demand: np.ndarray,
         reduced -= p[m:]
         reduced[in_basis] = 0.0
         if degenerate < DEGENERATE_RUN:
-            first = int(np.argmin(reduced))
+            first = reduced.argmin()
         else:
+            # Kept as np.argmax: tests count Bland pivots through this call.
             first = int(np.argmax(reduced < -scale))
-        if not reduced.flat[first] < -scale:
+        if not reduced.item(first) < -scale:
             if fresh:
                 break
             # Certify with an independent walk of the basis mask.  It
@@ -285,7 +286,7 @@ def solve_transport(cost: np.ndarray, supply: np.ndarray, demand: np.ndarray,
         iterations += 1
         if iterations > max_pivots:
             raise NonConvergence("transportation simplex exceeded pivot budget")
-        i, j = divmod(first, k)
+        i, j = divmod(int(first), k)
         # Walk both ends of the entering cell up to their common ancestor.
         # The cycle runs from column j up to it and down to row i; its cells
         # alternate -, + after the entering cell's +.  Each tree cell is

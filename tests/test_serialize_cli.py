@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import re
@@ -17,7 +18,6 @@ from obliqueframes.measures import MeasureFrameReport
 from obliqueframes.potentials import PotentialReport
 from obliqueframes.serialize import (
     _format_float,
-    coupling_to_obj,
     dumps_canonical,
     measure_from_obj,
     parse_fixture,
@@ -174,6 +174,87 @@ class TestLeafRows:
         assert run_cli("etf-lift", fixture("mercedes_benz_frame.json")) == 2
         assert capsys.readouterr() == (
             "", "error: cannot serialize non-finite numbers\n")
+
+
+def coupling_schema(gamma):
+    """A coupling in its documented schema, as plain lists."""
+    return {"pairs": [[x, y, w] for x, y, w in zip(
+        gamma.x.tolist(), gamma.y.tolist(), gamma.weights.tolist())]}
+
+
+def tricoupling_schema(tri):
+    """A tricoupling in its documented schema, as plain lists."""
+    return {"triples": [[x, y, z, w] for x, y, z, w in zip(
+        tri.x.tolist(), tri.y.tolist(), tri.z.tolist(), tri.weights.tolist())]}
+
+
+# Where a typed value sits in a report: its indent is the writer's input.
+PLACES = {
+    "top": lambda v: v,
+    "dict": lambda v: {"report": {"coupling": v}},
+    "list3": lambda v: [[[v]]],
+}
+
+RECORD_FLOATS = (st.floats(allow_nan=False, allow_infinity=False)
+                 | st.sampled_from(EDGE_FLOATS + [1.0, 1e17]))
+
+
+@st.composite
+def record_parts(draw, count, weights):
+    """count coordinate blocks of one shape (m, n), m and n in 1..4, and m
+    weights."""
+    m, n = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    row = st.lists(RECORD_FLOATS, min_size=n, max_size=n)
+    return ([np.array(draw(st.lists(row, min_size=m, max_size=m)))
+             for _ in range(count)]
+            + [np.array(draw(st.lists(weights, min_size=m, max_size=m)),
+                        dtype=float)])
+
+
+class TestRecordWriter:
+    """Couplings and tricouplings are written record by record from one
+    format template; the bytes must be those of their schema written as
+    plain lists, at every depth."""
+
+    @given(record_parts(2, st.integers(1, 5)), st.sampled_from(sorted(PLACES)))
+    @example([np.array([[-0.0]]), np.array([[5e-324]]), np.array([1.0])],
+             "list3")
+    def test_a_coupling_is_written_as_its_schema(self, parts, place):
+        *blocks, mass = parts
+        gamma = transport.Coupling(*blocks, mass / mass.sum())
+        wrap = PLACES[place]
+        assert serialize_fixture(wrap(gamma)) == \
+            dumps_canonical(wrap(coupling_schema(gamma)))
+
+    @given(record_parts(3, RECORD_FLOATS), st.sampled_from(sorted(PLACES)))
+    @example([np.array([[1.7976931348623157e308, 1e17]]),
+              np.array([[-1.7976931348623157e308, -0.0]]),
+              np.array([[5e-324, 1.0]]), np.array([1.0])], "dict")
+    @example([np.empty((0, 2))] * 3 + [np.empty(0)], "list3")
+    def test_a_tricoupling_is_written_as_its_schema(self, parts, place):
+        tri = transport.TriCoupling(*parts)
+        wrap = PLACES[place]
+        assert serialize_fixture(wrap(tri)) == \
+            dumps_canonical(wrap(tricoupling_schema(tri)))
+
+    def test_integral_floats_in_a_record(self):
+        gamma = transport.Coupling([[1.0, 1e17]], [[-0.0, 2.0]], [1.0])
+        assert serialize_fixture(gamma) == (
+            '{\n  "pairs": [\n    [\n      [1, 1e+17],\n      [-0, 2],\n'
+            '      1\n    ]\n  ]\n}\n')
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("field", ["x", "y", "z", "weights"])
+    def test_a_non_finite_tricoupling_is_refused(self, bad, field):
+        # TriCoupling does not check finiteness, so the writer must.
+        parts = {"x": [[0.0, 1.0]], "y": [[1.0, 2.0]], "z": [[2.0, 3.0]],
+                 "weights": [1.0]}
+        parts[field] = [[0.0, bad]] if field != "weights" else [bad]
+        tri = transport.TriCoupling(**parts)
+        for place in PLACES.values():
+            with pytest.raises(ValueError,
+                               match="^cannot serialize non-finite numbers$"):
+                serialize_fixture(place(tri))
 
 
 class TestParseErrors:
@@ -402,6 +483,19 @@ class TestCli:
         assert run_cli("glue", fixture("skew_line_product_coupling.json"),
                        str(ident), out=out) == 0
         assert len(load_report(out)["triples"]) == 2
+
+    def test_the_glue_report_is_canonical(self, tmp_path, capsys):
+        from obliqueframes import identity_coupling, product_coupling
+        mu = parse_fixture(fixture("skew_line_mu.json"), "measure")
+        nu = parse_fixture(fixture("skew_line_nu.json"), "measure")
+        xy, yz = str(tmp_path / "xy.json"), str(tmp_path / "yz.json")
+        serialize_fixture(product_coupling(mu, nu), xy)
+        serialize_fixture(identity_coupling(nu), yz)
+        assert run_cli("glue", xy, yz) == 0
+        text = capsys.readouterr().out
+        assert serialize_fixture(json.loads(text)) == text
+        weights = [w for *_, w in json.loads(text)["triples"]]
+        assert sum(weights) == pytest.approx(1.0, abs=1e-15)
 
     def test_interiority_writes_csv(self, tmp_path):
         out = tmp_path / "r.json"
@@ -1051,6 +1145,57 @@ class TestReportSchemas:
         assert list(json.loads(capsys.readouterr().out)) == keys
 
 
+def w2_pin_pair(seed: int):
+    """Two 24-atom measures in R^4 for the pinned w2 reports.
+
+    Coordinates are multiples of 2^-10 and weights of 1/1024, so every
+    cost, flow, potential and certificate sum is exact in floating point
+    and the report bytes do not depend on summation order or BLAS.  Seeds
+    10 and 11 draw the atoms from a small integer lattice, where many
+    costs and reduced costs tie.
+    """
+    rng = np.random.default_rng([seed, 19])
+    measures = []
+    for _ in range(2):
+        if seed >= 10:
+            points = rng.integers(-2, 3, size=(24, 4)).astype(float)
+        else:
+            points = np.round(1024.0 * rng.standard_normal((24, 4))) / 1024.0
+        mass = 1 + rng.multinomial(1000, np.full(24, 1.0 / 24.0))
+        measures.append(obliqueframes.DiscreteMeasure(points, mass / 1024.0))
+    return measures
+
+
+# sha256 of each seed's w2 report: a change in any pivot choice, in
+# 'iterations' or in one byte the writer emits shows here.
+W2_REPORT_SHA256 = {
+    0: "b9c0d9f7c19d87aec0e47dfb4a3824b87c4744728dd6115953309241720abf2a",
+    1: "5096e5bbe01ae5a718af4e49903f82809d78cda8df51f1c9e8a7404e604e0f20",
+    2: "18368a7f3621b88e1ce3c6c11c8fb7c001ae24ada0b6e29acd169b0833013f11",
+    3: "1419af619b5115f30314cf938b6fbd85eecae2af3279dc4404a456733eedbd91",
+    4: "398d3fa474f73b46cec65866099c2b6fde881b070b72dc51197442dfc2c8fa0f",
+    5: "77501d8f50e8c6135cab9c3a9f108e6b684c53c39ee19097ff6a03963208f1a5",
+    6: "3eac8265e6b83f76e0a4a490fd63f1b02d17c022655552b0e7b3f5443f131788",
+    7: "40754f951c901cc85d98b02f0884aa80011362c05628643f9bdd85e1492ec212",
+    8: "70dec86de30df0541f6f47b6e3c990b6eb414b7f8214b4270f332795830cf45a",
+    9: "7cf7c32ab7b5865042ac54842d5503ac210875f7ea5ba1409a2f0f81802f8e2e",
+    10: "360395530dd8c779807a99d61274cdf76f76ef3c81ded9d0f856c3d08d59be0f",
+    11: "e2cad2bd3a558cdbf7f03e9d0d58663e02cb17ce3b4699105e1a8d2df4f5b09c",
+}
+
+
+class TestPinnedW2Reports:
+    @pytest.mark.parametrize("seed", sorted(W2_REPORT_SHA256))
+    def test_the_w2_report_bytes(self, tmp_path, capsys, seed):
+        paths = [str(tmp_path / f"{name}.json") for name in ("mu", "nu")]
+        for path, measure in zip(paths, w2_pin_pair(seed)):
+            serialize_fixture(measure, path)
+        assert main(["w2", *paths]) == 0
+        text = capsys.readouterr().out
+        assert hashlib.sha256(text.encode()).hexdigest() == \
+            W2_REPORT_SHA256[seed]
+
+
 class TestReportDataclasses:
     """serialize writes a report dataclass as its fields, in declaration
     order, each value through the same canonical rules as a dict's."""
@@ -1078,8 +1223,11 @@ class TestReportDataclasses:
     def test_a_typed_value_inside_a_report_uses_its_schema(self):
         gamma = parse_fixture(fixture("skew_line_product_coupling.json"),
                               "coupling")
+        pairs = [[x, y, w] for x, y, w in zip(gamma.x.tolist(),
+                                              gamma.y.tolist(),
+                                              gamma.weights.tolist())]
         assert serialize_fixture({"coupling": gamma}) == \
-            dumps_canonical({"coupling": coupling_to_obj(gamma)})
+            dumps_canonical({"coupling": {"pairs": pairs}})
 
     def test_an_interiority_report_from_the_experiment(self):
         from obliqueframes.approx import interiority_experiment
