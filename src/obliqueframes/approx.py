@@ -116,13 +116,11 @@ def consistency_conversions(report: ApproxDualReport, nu: DiscreteMeasure,
 
 @dataclass(frozen=True)
 class _ExactDual:
-    """An exact dual certificate checked once, with the bounds and the
+    """An exact dual certificate checked once, with the lower bound and the
     oblique projection that every perturbation of it is measured against."""
 
     gamma_dual: Coupling
-    c_upper: float      # upper frame bound of mu on its span
-    a_opt: float        # lower frame bound of nu on its span
-    a_max: float        # min(a_opt, 1 / c_upper), the largest A with A*C <= 1
+    a_max: float        # min(lambda_min of nu, 1 / C), the largest A with A*C <= 1
     pi_wv: np.ndarray   # oblique projection between the two spans
 
     @classmethod
@@ -132,19 +130,13 @@ class _ExactDual:
         V, (a_opt, _) = _framed_span(nu)
         resid, pi_wv = _dual_certificate(mu, nu, gamma_dual, W, V)
         require_dual(resid, tol, "dual certificate")
-        return cls(gamma_dual, c_upper, a_opt, min(a_opt, 1.0 / c_upper), pi_wv)
+        return cls(gamma_dual, min(a_opt, 1.0 / c_upper), pi_wv)
 
-    def perturbation(self, eta: DiscreteMeasure, gamma_pert: Coupling,
-                     eps: float, a: float) -> PerturbationCertificate:
-        """Certify eta at bound a; the caller checked gamma_pert's marginals."""
-        if a > self.a_opt + 1e-9:
-            raise HypothesisViolated(
-                f"claimed lower bound {a:.6g} exceeds the spectrum minimum "
-                f"{self.a_opt:.6g}"
-            )
-        if a * self.c_upper > 1.0 + 1e-9:
-            raise HypothesisViolated(
-                f"bound product A*C = {a * self.c_upper:.6g} exceeds 1")
+    def perturbation(self, gamma_pert: Coupling,
+                     eps: float) -> PerturbationCertificate:
+        """Certify the far marginal of gamma_pert at A = a_max; the caller
+        checked gamma_pert's marginals and judges epsilon_actual."""
+        a = self.a_max
         lam = coupling_cost(gamma_pert)
         if lam > a * eps * eps + 1e-12:
             raise HypothesisViolated(
@@ -152,14 +144,10 @@ class _ExactDual:
             )
         glued = glue(self.gamma_dual, gamma_pert).xz_coupling()
         eps_actual = spectral_norm(glued.moment_matrix() - self.pi_wv)
-        if eps_actual > eps + 1e-9:
-            raise InternalConsistencyError(
-                f"certified residual {eps_actual:.3e} exceeds eps = {eps:.3e}"
-            )
         return PerturbationCertificate(
             lam=float(lam),
             a_lower=float(a),
-            epsilon_claimed=float(np.sqrt(lam / a)) if a > 0 else float("inf"),
+            epsilon_claimed=float(np.sqrt(lam / a)),
             glued_coupling=glued,
             epsilon_actual=float(eps_actual),
         )
@@ -168,21 +156,25 @@ class _ExactDual:
 def perturbation_certificate(mu: DiscreteMeasure, nu: DiscreteMeasure,
                              gamma_dual: Coupling, eta: DiscreteMeasure,
                              gamma_pert: Coupling, eps: float,
-                             a_lower: float | None = None,
                              tol: Tolerance = DEFAULT_TOL
                              ) -> PerturbationCertificate:
     """Certify eta as an eps-approximate dual of mu by gluing couplings.
 
-    Requires gamma_dual to certify nu as an exact dual, gamma_pert to
-    couple nu with eta at quadratic cost at most A * eps^2, and A * C <= 1
-    for the chosen lower bound A of nu and upper bound C of mu.  When
-    a_lower is omitted, A = min(lambda_min of nu on V, 1/C), which exact
-    duality always makes admissible.
+    Requires gamma_dual to certify nu as an exact dual and gamma_pert to
+    couple nu with eta at quadratic cost at most A * eps^2, where
+    A = min(lambda_min of nu on V, 1/C) with C the upper bound of mu: the
+    largest lower bound of nu with A * C <= 1, which exact duality always
+    makes admissible.  Raises InternalConsistencyError when the glued
+    coupling's residual exceeds eps anyway, since the theorem forbids it.
     """
     dual = _ExactDual.certify(mu, nu, gamma_dual, tol)
     _validate_coupling(gamma_pert, nu, eta)
-    a = dual.a_max if a_lower is None else float(a_lower)
-    return dual.perturbation(eta, gamma_pert, eps, a)
+    cert = dual.perturbation(gamma_pert, eps)
+    if cert.epsilon_actual > eps + 1e-9:
+        raise InternalConsistencyError(
+            f"certified residual {cert.epsilon_actual:.3e} exceeds eps = {eps:.3e}"
+        )
+    return cert
 
 
 @dataclass(frozen=True)
@@ -274,7 +266,7 @@ def interiority_experiment(mu: DiscreteMeasure, W: Subspace, V: Subspace,
     for t in range(trials):
         rng = np.random.default_rng(rng_seed + t)
         eta, gamma_pert = _sample_in_w2_ball(nu, V, radius, rng)
-        cert = dual.perturbation(eta, gamma_pert, eps, a)
+        cert = dual.perturbation(gamma_pert, eps)
         if cert.lam < a:
             eta_bounds = classify_probabilistic_frame(eta, V, tol).bounds
             floor = (np.sqrt(a) - np.sqrt(cert.lam)) ** 2

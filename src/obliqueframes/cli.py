@@ -89,7 +89,6 @@ def cmd_minimize(args):
     frame = parse_fixture(args.frame, "frame", args.tol)
     V = parse_fixture(args.sampling_subspace, "subspace")
     opts = potentials.OptimizerOptions(
-        step_size=args.step_size,
         max_iters=args.max_iters,
         grad_tol=args.grad_tol,
         seed=args.seed,
@@ -260,7 +259,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("sampling_subspace")
     p.add_argument("--p", type=float, default=2.0)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--step-size", type=float, default=1.0)
     p.add_argument("--max-iters", type=_nonnegative(int), default=10000)
     p.add_argument("--grad-tol", type=float, default=1e-7)
     p.set_defaults(func=cmd_minimize)

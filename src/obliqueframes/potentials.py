@@ -30,8 +30,10 @@ from .linalg import (
 SATURATION_TOL = 1e-8
 # Largest potential order: past it |x|^p overflows a double for every |x| >= 2.
 MAX_ORDER = 1024.0
-# Descent constants: random start scale, Armijo slope, backtracking factor.
+# Descent constants: random start scale, first trial step, Armijo slope,
+# backtracking factor.
 INIT_SCALE = 0.5
+FIRST_STEP = 1.0
 ARMIJO_C = 1e-4
 SHRINK = 0.5
 
@@ -229,18 +231,16 @@ class OptimizerOptions:
 
     grad_tol defaults to 1e-7: below roughly 1e-8 the objective's float
     granularity near its minimum makes smaller gradient norms unreachable,
-    while 1e-7 already pins the minimizer to ~1e-7 accuracy.
+    while 1e-7 already pins the minimizer to ~1e-7 accuracy.  The step is
+    not a setting: the first trial step is FIRST_STEP, and later ones come
+    from the descent itself.
     """
 
-    step_size: float = 1.0
     max_iters: int = 10000
     grad_tol: float = 1e-7
     seed: int = 0
 
     def __post_init__(self):
-        if not 0 < self.step_size < np.inf:
-            raise ValueError(
-                f"step_size must be finite and > 0, got {self.step_size}")
         if not 0 <= self.grad_tol < np.inf:
             raise ValueError(
                 f"grad_tol must be finite and >= 0, got {self.grad_tol}")
@@ -291,7 +291,7 @@ def minimize_dual_potential(
     rng = np.random.default_rng(opts.seed)
     C = INIT_SCALE * rng.standard_normal((V.dim, len(F)))
 
-    step = opts.step_size
+    step = FIRST_STEP
     value = _value(geom, C, p)
     grad = _gradient(geom, C, p)
     trajectory = [value]

@@ -352,11 +352,6 @@ class TestCanonicalCharacterization:
 
 
 class TestOptimizerOptionRanges:
-    @pytest.mark.parametrize("step_size", [np.nan, np.inf, 0.0, -1.0])
-    def test_step_size_must_be_finite_and_positive(self, step_size):
-        with pytest.raises(ValueError, match="step_size must be finite and > 0"):
-            OptimizerOptions(step_size=step_size)
-
     @pytest.mark.parametrize("grad_tol", [np.nan, np.inf, -1.0])
     def test_grad_tol_must_be_finite_and_nonnegative(self, grad_tol):
         with pytest.raises(ValueError, match="grad_tol must be finite and >= 0"):

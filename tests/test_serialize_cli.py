@@ -510,6 +510,21 @@ class TestCli:
         assert lines[0] == "trial,lambda,eps_claimed,eps_actual,pass"
         assert len(lines) == 6
 
+    def test_interiority_counts_a_violating_trial(self, tmp_path,
+                                                  monkeypatch):
+        from obliqueframes import approx
+        monkeypatch.setattr(approx, "spectral_norm", lambda _: 1.0)
+        out = tmp_path / "r.json"
+        csv_path = tmp_path / "trials.csv"
+        assert run_cli("interiority", fixture("mercedes_benz_measure.json"),
+                       fixture("plane.json"), fixture("plane.json"),
+                       "--eps", "0.1", "--trials", "3", "--seed", "0",
+                       "--csv", str(csv_path), out=out) == 0
+        assert load_report(out)["failures"] == 3
+        rows = csv_path.read_text().strip().splitlines()[1:]
+        assert len(rows) == 3
+        assert all(row.split(",")[-1] == "0" for row in rows)
+
     def test_perturb(self, tmp_path):
         from obliqueframes import Coupling, DiscreteMeasure
         nu = parse_fixture(fixture("skew_line_nu.json"), "measure")
@@ -527,6 +542,25 @@ class TestCli:
                        "--eps", "0.1", out=out) == 0
         rep = load_report(out)
         assert rep["epsilon_actual"] <= 0.1
+
+    def test_perturb_refuses_a_residual_above_eps(self, tmp_path, capsys,
+                                                  monkeypatch):
+        from obliqueframes import Coupling, DiscreteMeasure, approx
+        nu = parse_fixture(fixture("skew_line_nu.json"), "measure")
+        eta = DiscreteMeasure([[0.05, 0.05], [2.05, 2.05]], [0.5, 0.5])
+        eta_path = tmp_path / "eta.json"
+        pert_path = tmp_path / "pert.json"
+        serialize_fixture(eta, str(eta_path))
+        serialize_fixture(Coupling(nu.points, eta.points, [0.5, 0.5]),
+                          str(pert_path))
+        monkeypatch.setattr(approx, "spectral_norm", lambda _: 1.0)
+        assert run_cli("perturb", fixture("skew_line_mu.json"),
+                       fixture("skew_line_nu.json"),
+                       fixture("skew_line_product_coupling.json"),
+                       str(eta_path), str(pert_path), "--eps", "0.1") == 5
+        assert capsys.readouterr() == ("", (
+            "internal consistency check failed: certified residual "
+            "1.000e+00 exceeds eps = 1.000e-01\n"))
 
     def test_validation_error_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -882,29 +916,16 @@ class TestWorkDoneOnce:
         assert outputs[0] == outputs[1]
 
 
-class TestMinimizeRanges:
-    @pytest.mark.parametrize("step_size", ["nan", "inf"])
-    def test_non_finite_step_size_exits_2_at_once(self, step_size):
-        # The backtracking line search never shrinks nan or inf below its
-        # floor, so without the range check this call does not return.
-        src = os.path.dirname(os.path.dirname(obliqueframes.__file__))
-        run = subprocess.run(
-            [sys.executable, "-m", "obliqueframes", "minimize",
-             fixture("mercedes_benz_frame.json"), fixture("plane.json"),
-             "--step-size", step_size, "--max-iters", "50"],
-            env=dict(os.environ, PYTHONPATH=src), capture_output=True,
-            text=True, timeout=60)
-        assert run.returncode == 2
-        assert run.stdout == ""
-        assert run.stderr == (
-            f"error: step_size must be finite and > 0, got {step_size}\n")
+GRAD_TOL_ROWS = [
+    (["--grad-tol", "nan"], "grad_tol must be finite and >= 0, got nan"),
+    (["--grad-tol", "-1"], "grad_tol must be finite and >= 0, got -1.0"),
+]
 
-    @pytest.mark.parametrize("extra,message", [
-        (["--step-size", "0"], "step_size must be finite and > 0, got 0.0"),
-        (["--step-size", "-1"], "step_size must be finite and > 0, got -1.0"),
-        (["--grad-tol", "nan"], "grad_tol must be finite and >= 0, got nan"),
-        (["--grad-tol", "-1"], "grad_tol must be finite and >= 0, got -1.0"),
-    ])
+
+class TestMinimizeRanges:
+    # Explicit ids: these rows keep the test names they are known by.
+    @pytest.mark.parametrize("extra,message", GRAD_TOL_ROWS, ids=[
+        f"extra{i}-{message}" for i, (_, message) in enumerate(GRAD_TOL_ROWS, 2)])
     def test_out_of_range_settings_exit_2(self, capsys, extra, message):
         assert run_cli("minimize", fixture("mercedes_benz_frame.json"),
                        fixture("plane.json"), "--max-iters", "50", *extra) == 2
