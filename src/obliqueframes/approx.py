@@ -7,7 +7,9 @@ transport ball of cost at most A * epsilon^2 keeps it an epsilon-approximate
 dual; the certificate is constructed by gluing the exact-dual coupling
 with the perturbation coupling and projecting onto the outer coordinates.
 The exact dual is certified once per experiment; each perturbation trial
-then runs only the checks that depend on the perturbed measure.
+then runs only the checks that depend on the perturbed measure, and glues
+over the dual measure by its atom index, where perturbation_certificate,
+given arbitrary couplings, matches atoms.
 """
 from __future__ import annotations
 
@@ -26,6 +28,7 @@ from .errors import (
     DimensionMismatch,
     HypothesisViolated,
     InternalConsistencyError,
+    MarginalMismatch,
 )
 from .linalg import (
     DEFAULT_TOL,
@@ -38,20 +41,14 @@ from .linalg import (
     spectral_norm,
 )
 from .measures import (
+    MARGINAL_TOL,
     DiscreteMeasure,
     classify_probabilistic_frame,
     linear_pushforward,
     measure_frame_operator,
     second_moment,
 )
-from .transport import (
-    Coupling,
-    _flow_coupling,
-    _solve_w2,
-    coupling_cost,
-    glue,
-    identity_coupling,
-)
+from .transport import Coupling, _solve_w2, coupling_cost, glue
 
 
 @dataclass(frozen=True)
@@ -116,10 +113,9 @@ def consistency_conversions(report: ApproxDualReport, nu: DiscreteMeasure,
 
 @dataclass(frozen=True)
 class _ExactDual:
-    """An exact dual certificate checked once, with the lower bound and the
-    oblique projection that every perturbation of it is measured against."""
+    """An exact dual certificate checked once, leaving the lower bound and
+    the oblique projection that every perturbation of it is measured against."""
 
-    gamma_dual: Coupling
     a_max: float        # min(lambda_min of nu, 1 / C), the largest A with A*C <= 1
     pi_wv: np.ndarray   # oblique projection between the two spans
 
@@ -130,27 +126,20 @@ class _ExactDual:
         V, (a_opt, _) = _framed_span(nu)
         resid, pi_wv = _dual_certificate(mu, nu, gamma_dual, W, V)
         require_dual(resid, tol, "dual certificate")
-        return cls(gamma_dual, min(a_opt, 1.0 / c_upper), pi_wv)
+        return cls(min(a_opt, 1.0 / c_upper), pi_wv)
 
-    def perturbation(self, gamma_pert: Coupling,
-                     eps: float) -> PerturbationCertificate:
-        """Certify the far marginal of gamma_pert at A = a_max; the caller
-        checked gamma_pert's marginals and judges epsilon_actual."""
+    def judge(self, lam: float, moment: np.ndarray,
+              eps: float) -> tuple[float, float]:
+        """epsilon_claimed and epsilon_actual, at A = a_max, of a perturbation
+        of transport cost lam whose glued coupling has mixed moment `moment`;
+        the caller judges epsilon_actual against eps."""
         a = self.a_max
-        lam = coupling_cost(gamma_pert)
         if lam > a * eps * eps + 1e-12:
             raise HypothesisViolated(
                 f"perturbation cost {lam:.3e} exceeds A*eps^2 = {a * eps * eps:.3e}"
             )
-        glued = glue(self.gamma_dual, gamma_pert).xz_coupling()
-        eps_actual = spectral_norm(glued.moment_matrix() - self.pi_wv)
-        return PerturbationCertificate(
-            lam=float(lam),
-            a_lower=float(a),
-            epsilon_claimed=float(np.sqrt(lam / a)),
-            glued_coupling=glued,
-            epsilon_actual=float(eps_actual),
-        )
+        return (float(np.sqrt(lam / a)),
+                float(spectral_norm(moment - self.pi_wv)))
 
 
 def perturbation_certificate(mu: DiscreteMeasure, nu: DiscreteMeasure,
@@ -169,12 +158,20 @@ def perturbation_certificate(mu: DiscreteMeasure, nu: DiscreteMeasure,
     """
     dual = _ExactDual.certify(mu, nu, gamma_dual, tol)
     _validate_coupling(gamma_pert, nu, eta)
-    cert = dual.perturbation(gamma_pert, eps)
-    if cert.epsilon_actual > eps + 1e-9:
+    lam = coupling_cost(gamma_pert)
+    glued = glue(gamma_dual, gamma_pert).xz_coupling()
+    eps_claimed, eps_actual = dual.judge(lam, glued.moment_matrix(), eps)
+    if eps_actual > eps + 1e-9:
         raise InternalConsistencyError(
-            f"certified residual {cert.epsilon_actual:.3e} exceeds eps = {eps:.3e}"
+            f"certified residual {eps_actual:.3e} exceeds eps = {eps:.3e}"
         )
-    return cert
+    return PerturbationCertificate(
+        lam=lam,
+        a_lower=float(dual.a_max),
+        epsilon_claimed=eps_claimed,
+        glued_coupling=glued,
+        epsilon_actual=eps_actual,
+    )
 
 
 @dataclass(frozen=True)
@@ -198,16 +195,17 @@ class InteriorityReport:
 
 def _sample_in_w2_ball(nu: DiscreteMeasure, V: Subspace, radius: float,
                        rng: np.random.Generator
-                       ) -> tuple[DiscreteMeasure, Coupling]:
+                       ) -> tuple[DiscreteMeasure, np.ndarray]:
     """Jitter the atoms inside V and rescale toward the ball boundary.
 
     Bisection on the global jitter scale drives the exact distance into
     [0.9, 1.0] * radius so the certificate is exercised near its boundary.
-    The returned coupling is transport-optimal, hence its cost is the
-    squared distance.
+    Returns the jittered measure eta, whose atom i is nu's atom i moved, and
+    the transport-optimal plan from nu to eta as an m x m flow matrix, row i
+    leaving nu's atom i: its cost is the squared distance.
     """
     if radius <= 0:
-        return nu, identity_coupling(nu)
+        return nu, np.diag(nu.weights)
     proj = V.basis @ V.basis.T
     directions = rng.standard_normal(nu.points.shape) @ proj
     while float(np.max(np.abs(directions))) == 0.0:
@@ -242,8 +240,7 @@ def _sample_in_w2_ball(nu: DiscreteMeasure, V: Subspace, radius: float,
             if d_mid >= 0.9 * radius:
                 hi, d_hi, f_hi = mid, d_mid, f_mid
     scale, flows = (hi, f_hi) if d_hi <= radius else (lo, f_lo)
-    eta = DiscreteMeasure(nu.points + scale * directions, nu.weights)
-    return eta, _flow_coupling(nu, eta, flows)
+    return DiscreteMeasure(nu.points + scale * directions, nu.weights), flows
 
 
 def interiority_experiment(mu: DiscreteMeasure, W: Subspace, V: Subspace,
@@ -256,29 +253,51 @@ def interiority_experiment(mu: DiscreteMeasure, W: Subspace, V: Subspace,
     perturbation near the boundary of the admissible ball, and runs the
     perturbation certificate; the summary counts violations (expected 0)
     and also tracks the perturbed measure's lower frame bound floor.
+    A trial glues its plan to the exact dual by nu's atom index, with no
+    atom matching: the triples are (mu_i, nu_i, eta_j) at weight
+    flows[i, j].  Where nu has atoms within POSITION_TOL of each other,
+    perturbation_certificate's glue pools them and the trial does not; the
+    two glued couplings are equal as measures.
     """
     nu, gamma_dual = canonical_dual_measure(mu, W, V, tol)
     dual = _ExactDual.certify(mu, nu, gamma_dual, tol)
     a = dual.a_max
     radius = float(np.sqrt(a) * eps)
+    # nu is the pushforward of mu atom by atom, so gamma_dual is the graph
+    # coupling pairing mu's atom k with nu's atom k, and row i of a plan
+    # leaves nu's atom i: gluing over nu is an index lookup.
+    x, w = mu.points, nu.weights
 
     records = []
     for t in range(trials):
         rng = np.random.default_rng(rng_seed + t)
-        eta, gamma_pert = _sample_in_w2_ball(nu, V, radius, rng)
-        cert = dual.perturbation(gamma_pert, eps)
-        if cert.lam < a:
+        eta, flows = _sample_in_w2_ball(nu, V, radius, rng)
+        net = np.abs(flows.sum(axis=1) - w)
+        bad = np.flatnonzero(net > MARGINAL_TOL)
+        if bad.size:
+            raise MarginalMismatch(
+                f"shared marginal masses differ by {net[bad[0]]:.3e}")
+        ii, jj = np.nonzero(flows > 0)
+        f = flows[ii, jj]
+        d = nu.points[ii] - eta.points[jj]
+        lam = float(np.sum(f * np.einsum("ki,ki->k", d, d)))
+        # glue's weight w_a * w_b / mass with mass = w_i, which can round
+        # away from f: so the records equal perturbation_certificate's.
+        moment = np.einsum("k,ki,kj->ij", w[ii] * f / w[ii], x[ii],
+                           eta.points[jj])
+        eps_claimed, eps_actual = dual.judge(lam, moment, eps)
+        if lam < a:
             eta_bounds = classify_probabilistic_frame(eta, V, tol).bounds
-            floor = (np.sqrt(a) - np.sqrt(cert.lam)) ** 2
+            floor = (np.sqrt(a) - np.sqrt(lam)) ** 2
             bound_ok = eta_bounds is not None and eta_bounds[0] >= floor - 1e-9
         else:
             bound_ok = True
         records.append(InteriorityTrial(
             trial=t,
-            lam=cert.lam,
-            eps_claimed=cert.epsilon_claimed,
-            eps_actual=cert.epsilon_actual,
-            passed=cert.epsilon_actual <= eps + 1e-9,
+            lam=lam,
+            eps_claimed=eps_claimed,
+            eps_actual=eps_actual,
+            passed=eps_actual <= eps + 1e-9,
             frame_bound_ok=bool(bound_ok),
         ))
     failures = sum(1 for r in records if not r.passed)

@@ -256,8 +256,50 @@ class TestInteriorityExperiment:
 
     def test_trials_match_the_public_certificate(self, monkeypatch):
         # The experiment certifies the exact dual once and each trial runs
-        # only the perturbation checks; the results must be the ones the
-        # full public certificate gives on the same perturbation.
+        # only the perturbation checks, gluing by nu's atom index; the
+        # results must be the ones the full public certificate gives on the
+        # same perturbation.  At eps = 2.0 a bisection probe pivots.
+        from obliqueframes import transport
+
+        sampled, pivots = [], []
+        sample = approx_mod._sample_in_w2_ball
+        solve = transport.solve_transport
+
+        def recording(*args):
+            sampled.append(sample(*args))
+            return sampled[-1]
+
+        def counting(*args, **kwargs):
+            flows, cert = solve(*args, **kwargs)
+            pivots.append(cert.iterations)
+            return flows, cert
+
+        rng = np.random.default_rng(5)
+        W, V = random_admissible_pair(rng, 3, 2)
+        mu = random_measure_on(rng, W, 4)
+        nu, gamma = canonical_dual_measure(mu, W, V)
+        monkeypatch.setattr(approx_mod, "_sample_in_w2_ball", recording)
+        monkeypatch.setattr(transport, "solve_transport", counting)
+        for eps in (0.2, 2.0):
+            sampled.clear()
+            pivots.clear()
+            summary = interiority_experiment(mu, W, V, eps=eps, trials=4,
+                                             rng_seed=3)
+            assert any(pivots) == (eps == 2.0)
+            assert len(sampled) == len(summary.records) == 4
+            for record, (eta, flows) in zip(summary.records, sampled):
+                pert = transport._flow_coupling(nu, eta, flows)
+                cert = perturbation_certificate(mu, nu, gamma, eta, pert, eps)
+                assert cert.lam == record.lam
+                assert cert.epsilon_actual == record.eps_actual
+
+    def test_coincident_dual_atoms(self, monkeypatch):
+        # Split two atoms of a seeded measure: one into exact duplicates,
+        # one into atoms 1e-12 apart.  The public certificate's glue pools
+        # each pair of nu's images, which the trials' index glue keeps
+        # apart; the glued couplings are equal as measures.
+        from obliqueframes import transport
+
         sampled = []
         sample = approx_mod._sample_in_w2_ball
 
@@ -265,18 +307,27 @@ class TestInteriorityExperiment:
             sampled.append(sample(*args))
             return sampled[-1]
 
-        rng = np.random.default_rng(5)
+        rng = np.random.default_rng(9)
         W, V = random_admissible_pair(rng, 3, 2)
-        mu = random_measure_on(rng, W, 4)
+        base = random_measure_on(rng, W, 6)
+        nudge = 1e-12 * W.basis[:, 0]
+        points = np.vstack([base.points, base.points[0],
+                            base.points[1] + nudge])
+        weights = np.concatenate([base.weights, base.weights[:2] / 2])
+        weights[:2] /= 2
+        mu = DiscreteMeasure(points, weights)
         monkeypatch.setattr(approx_mod, "_sample_in_w2_ball", recording)
-        summary = interiority_experiment(mu, W, V, eps=0.2, trials=4,
-                                         rng_seed=3)
+        summary = interiority_experiment(mu, W, V, eps=0.5, trials=8,
+                                         rng_seed=0)
+        assert summary.failures == 0
         nu, gamma = canonical_dual_measure(mu, W, V)
-        assert len(sampled) == len(summary.records) == 4
-        for record, (eta, pert) in zip(summary.records, sampled):
-            cert = perturbation_certificate(mu, nu, gamma, eta, pert, 0.2)
+        assert np.array_equal(nu.points[0], nu.points[6])
+        assert 0 < np.max(np.abs(nu.points[1] - nu.points[7])) <= 1e-9
+        for record, (eta, flows) in zip(summary.records, sampled):
+            pert = transport._flow_coupling(nu, eta, flows)
+            cert = perturbation_certificate(mu, nu, gamma, eta, pert, 0.5)
             assert cert.lam == record.lam
-            assert cert.epsilon_actual == record.eps_actual
+            assert abs(cert.epsilon_actual - record.eps_actual) <= 1e-12
 
     def test_exact_dual_is_spanned_and_projected_once(self, monkeypatch):
         from obliqueframes import duality

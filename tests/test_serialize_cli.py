@@ -879,15 +879,41 @@ class TestWorkDoneOnce:
         (["pf-check", fixture("skew_line_mu.json"),
           fixture("skew_line_nu.json"),
           fixture("skew_line_product_coupling.json")], 2),
-        # The exact dual's two marginal checks, then one glue per trial.
+        # The exact dual's two marginal checks; trials glue by atom index.
         (["interiority", fixture("mercedes_benz_measure.json"),
           fixture("plane.json"), fixture("plane.json"), "--eps", "0.1",
-          "--trials", "16"], 2 + 16),
+          "--trials", "16"], 2),
     ], ids=["pf-check", "interiority"])
     def test_atoms_are_matched_only_where_a_claim_is_checked(
             self, match_calls, argv, calls):
         assert run_cli(*argv) == 0
         assert len(match_calls) == calls
+
+    def test_interiority_trials_glue_and_build_no_coupling(self, monkeypatch):
+        # The dual's graph coupling is the one coupling an interiority run
+        # builds; a trial reads its plan as a flow matrix.
+        from obliqueframes import approx
+
+        glued, built = [], []
+        glue = transport.glue
+        post_init = transport.Coupling.__post_init__
+
+        def gluing(*args):
+            glued.append(args)
+            return glue(*args)
+
+        def building(self):
+            built.append(self)
+            post_init(self)
+
+        for module in (approx, transport):
+            monkeypatch.setattr(module, "glue", gluing)
+        monkeypatch.setattr(transport.Coupling, "__post_init__", building)
+        assert run_cli("interiority", fixture("mercedes_benz_measure.json"),
+                       fixture("plane.json"), fixture("plane.json"),
+                       "--eps", "0.1", "--trials", "16") == 0
+        assert len(glued) == 0
+        assert len(built) == 1
 
     def test_pf_potential_spans_each_measure_once(self, monkeypatch):
         from obliqueframes import duality
@@ -1215,6 +1241,73 @@ class TestPinnedW2Reports:
         text = capsys.readouterr().out
         assert hashlib.sha256(text.encode()).hexdigest() == \
             W2_REPORT_SHA256[seed]
+
+
+def interiority_pin_argv(tmp_path, case: str) -> list[str]:
+    """The interiority call of one pinned case, its inputs written out.
+
+    'oblique12' is 12 seeded atoms on a plane of R^3 at eps = 2.0, where
+    the sampler's bisection probes pivot.
+    """
+    if case.startswith("triangle"):
+        inputs = [fixture("mercedes_benz_measure.json"), fixture("plane.json"),
+                  fixture("plane.json")]
+        flags = ["--eps", "0.1", "--trials", "16", "--seed", case[-1]]
+    elif case == "skew-lines":
+        inputs = [fixture(f"skew_line_{name}.json") for name in ("mu", "w", "v")]
+        flags = ["--eps", "0.5", "--trials", "16", "--seed", "0"]
+    else:
+        from obliqueframes.gallery import (random_admissible_pair,
+                                           random_measure_on)
+
+        rng = np.random.default_rng([12, 17])
+        W, V = random_admissible_pair(rng, 3, 2)
+        mu = random_measure_on(rng, W, 12)
+        inputs = [str(tmp_path / f"{name}.json") for name in ("mu", "W", "V")]
+        for path, value in zip(inputs, (mu, W, V)):
+            serialize_fixture(value, path)
+        flags = ["--eps", "2.0", "--trials", "3", "--seed", "5"]
+    return ["interiority", *inputs, *flags]
+
+
+# sha256 of each case's interiority stdout and --csv file: a change in one
+# trial's bits shows here.
+INTERIORITY_REPORT_SHA256 = {
+    "oblique12": (
+        "86200814ee972b1f0f029aedc69aa8e686d0b8a24e28d2ff8138f5ef9726c563",
+        "7783e71982ca4901583cb2e7dd80bed87f926b86201f8d5b7968d08ddbd61074"),
+    "skew-lines": (
+        "ea753be77a45692c2dd19690e4eb08a00590687c869e5023356a5454828556b7",
+        "0d4fd764dcaf0293881c63b3e481bc1304ab17cbb14bd1f0fa5058b74a6e69de"),
+    "triangle-seed0": (
+        "97ef59b4f1ce3c0da2abe20aa8f197f6f5a7368ae26811087c7d933bd48b5714",
+        "c09fa13baa25fbcd283742b4ce90d1a8511f9a8cd97a574457b6227843885708"),
+    "triangle-seed1": (
+        "97ef59b4f1ce3c0da2abe20aa8f197f6f5a7368ae26811087c7d933bd48b5714",
+        "2780acdda005433909eb36ad1ab9842926a7a68490c95f652a8b8d1de44bff93"),
+}
+
+
+class TestPinnedInteriorityReports:
+    @pytest.mark.parametrize("case", sorted(INTERIORITY_REPORT_SHA256))
+    def test_the_interiority_report_bytes(self, tmp_path, capsys, monkeypatch,
+                                          case):
+        solve = transport.solve_transport
+        pivots = []
+
+        def counting(*args, **kwargs):
+            flows, cert = solve(*args, **kwargs)
+            pivots.append(cert.iterations)
+            return flows, cert
+
+        monkeypatch.setattr(transport, "solve_transport", counting)
+        csv_path = tmp_path / "trials.csv"
+        argv = interiority_pin_argv(tmp_path, case)
+        assert main([*argv, "--csv", str(csv_path)]) == 0
+        digests = (hashlib.sha256(capsys.readouterr().out.encode()).hexdigest(),
+                   hashlib.sha256(csv_path.read_bytes()).hexdigest())
+        assert digests == INTERIORITY_REPORT_SHA256[case]
+        assert any(pivots) == (case == "oblique12")
 
 
 class TestReportDataclasses:
