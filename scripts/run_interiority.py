@@ -7,6 +7,10 @@ certifies the perturbed measure as an eps-approximate dual.  Emits one
 CSV row per trial and a JSON summary per (fixture, eps) cell.
 
 Usage: python scripts/run_interiority.py [--trials N] [--seed S] [--outdir DIR]
+
+Trial t of every cell runs on the RNG stream S + t, so runs at consecutive
+seeds share all but one trial; space seeds at least N apart for independent
+runs.
 """
 import argparse
 import os
@@ -27,9 +31,12 @@ from obliqueframes.serialize import (  # noqa: E402
 
 
 def main():
-    ap = argparse.ArgumentParser()
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--trials", type=int, default=100)
-    ap.add_argument("--seed", type=int, default=0)
+    ap.add_argument("--seed", type=int, default=0,
+                    help="trial t runs on the RNG stream SEED + t, so runs at "
+                         "consecutive seeds share all but one trial; space "
+                         "seeds at least --trials apart for independent runs")
     ap.add_argument("--eps", type=float, nargs="+",
                     default=[0.05, 0.1, 0.5])
     ap.add_argument("--outdir", default="interiority_out")

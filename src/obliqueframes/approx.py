@@ -6,10 +6,10 @@ Perturbing the sampling measure of an exact dual pair inside a quadratic
 transport ball of cost at most A * epsilon^2 keeps it an epsilon-approximate
 dual; the certificate is constructed by gluing the exact-dual coupling
 with the perturbation coupling and projecting onto the outer coordinates.
-The exact dual is certified once per experiment; each perturbation trial
-then runs only the checks that depend on the perturbed measure, and glues
-over the dual measure by its atom index, where perturbation_certificate,
-given arbitrary couplings, matches atoms.
+The exact dual is certified once per experiment; the perturbation trials
+then run, in stacked chunks, only the checks that depend on the perturbed
+measure, and glue over the dual measure by its atom index, where
+perturbation_certificate, given arbitrary couplings, matches atoms.
 """
 from __future__ import annotations
 
@@ -26,6 +26,7 @@ from .duality import (
 )
 from .errors import (
     DimensionMismatch,
+    FrameError,
     HypothesisViolated,
     InternalConsistencyError,
     MarginalMismatch,
@@ -43,12 +44,21 @@ from .linalg import (
 from .measures import (
     MARGINAL_TOL,
     DiscreteMeasure,
-    classify_probabilistic_frame,
+    _frame_spectrum,
     linear_pushforward,
     measure_frame_operator,
     second_moment,
 )
-from .transport import Coupling, _solve_w2, coupling_cost, glue
+from .transport import (
+    Coupling,
+    _certify_start,
+    _root_cost,
+    _solve_w2,
+    _squared_distances,
+    _w2_of_cost,
+    coupling_cost,
+    glue,
+)
 
 
 @dataclass(frozen=True)
@@ -128,18 +138,21 @@ class _ExactDual:
         require_dual(resid, tol, "dual certificate")
         return cls(min(a_opt, 1.0 / c_upper), pi_wv)
 
-    def judge(self, lam: float, moment: np.ndarray,
-              eps: float) -> tuple[float, float]:
-        """epsilon_claimed and epsilon_actual, at A = a_max, of a perturbation
-        of transport cost lam whose glued coupling has mixed moment `moment`;
-        the caller judges epsilon_actual against eps."""
+    def judge(self, lam: np.ndarray, moments: np.ndarray,
+              eps: float) -> tuple[np.ndarray, np.ndarray]:
+        """epsilon_claimed and epsilon_actual, at A = a_max, of perturbations
+        of transport costs lam (T,) whose glued couplings have mixed moments
+        `moments` (T, n, n); the first over the cost budget raises, and the
+        caller judges epsilon_actual against eps."""
         a = self.a_max
-        if lam > a * eps * eps + 1e-12:
+        over = np.flatnonzero(lam > a * eps * eps + 1e-12)
+        if over.size:
             raise HypothesisViolated(
-                f"perturbation cost {lam:.3e} exceeds A*eps^2 = {a * eps * eps:.3e}"
+                f"perturbation cost {lam[over[0]]:.3e} exceeds "
+                f"A*eps^2 = {a * eps * eps:.3e}"
             )
-        return (float(np.sqrt(lam / a)),
-                float(spectral_norm(moment - self.pi_wv)))
+        return (np.sqrt(lam / a),
+                np.broadcast_to(spectral_norm(moments - self.pi_wv), lam.shape))
 
 
 def perturbation_certificate(mu: DiscreteMeasure, nu: DiscreteMeasure,
@@ -160,7 +173,8 @@ def perturbation_certificate(mu: DiscreteMeasure, nu: DiscreteMeasure,
     _validate_coupling(gamma_pert, nu, eta)
     lam = coupling_cost(gamma_pert)
     glued = glue(gamma_dual, gamma_pert).xz_coupling()
-    eps_claimed, eps_actual = dual.judge(lam, glued.moment_matrix(), eps)
+    eps_claimed, eps_actual = (float(v[0]) for v in dual.judge(
+        np.array([lam]), glued.moment_matrix()[None], eps))
     if eps_actual > eps + 1e-9:
         raise InternalConsistencyError(
             f"certified residual {eps_actual:.3e} exceeds eps = {eps:.3e}"
@@ -193,36 +207,34 @@ class InteriorityReport:
     records: tuple[InteriorityTrial, ...]
 
 
-def _sample_in_w2_ball(nu: DiscreteMeasure, V: Subspace, radius: float,
-                       rng: np.random.Generator
-                       ) -> tuple[DiscreteMeasure, np.ndarray]:
-    """Jitter the atoms inside V and rescale toward the ball boundary.
+# Trials per chunk are capped so that all the (trials, m, m, n) coordinate
+# differences of their first probes hold at most this many numbers: the
+# chunk's cost stack and points hold fewer, and the difference blocks of
+# transport._squared_distances are capped alike, so a chunk's memory stays
+# fixed however many trials run.  A trial whose differences alone exceed
+# it runs by itself.
+CHUNK_CELLS = 1 << 16
 
-    Bisection on the global jitter scale drives the exact distance into
-    [0.9, 1.0] * radius so the certificate is exercised near its boundary.
-    Returns the jittered measure eta, whose atom i is nu's atom i moved, and
-    the transport-optimal plan from nu to eta as an m x m flow matrix, row i
-    leaving nu's atom i: its cost is the squared distance.
+
+def _bisect(nu: DiscreteMeasure, directions: np.ndarray, radius: float,
+            hi: float, d_hi: float, f_hi: np.ndarray
+            ) -> tuple[float, np.ndarray]:
+    """The jitter scale and the transport-optimal plan from nu to its jitter
+    nu + scale * directions, from the first probe at scale hi, at distance
+    d_hi with plan f_hi.
+
+    Bisection on the scale drives the exact distance into [0.9, 1.0] *
+    radius so the certificate is exercised near its boundary.  Each later
+    probe passes the identity plan diag(w), which is feasible between nu and
+    any of its jitters, as the start of its W2 solve.
     """
-    if radius <= 0:
-        return nu, np.diag(nu.weights)
-    proj = V.basis @ V.basis.T
-    directions = rng.standard_normal(nu.points.shape) @ proj
-    while float(np.max(np.abs(directions))) == 0.0:
-        directions = rng.standard_normal(nu.points.shape) @ proj
+    identity = np.diag(nu.weights)
 
     def distance(s: float) -> tuple[float, np.ndarray]:
         return _solve_w2(nu.points, nu.weights, nu.points + s * directions,
                          nu.weights, start=identity)[:2]
 
-    # The graph coupling costs s^2 * sum w ||d||^2, so this start is
-    # feasible, and at the first probe it costs a few ulps under radius^2:
-    # when it is optimal, that probe lands inside the ball.
-    norm2 = float(np.sum(nu.weights * np.einsum("ki,ki->k", directions, directions)))
-    identity = np.diag(nu.weights)   # a plan from nu to each of its jitters
     lo, f_lo = 0.0, identity   # scale 0 leaves nu in place
-    hi = radius / np.sqrt(norm2) * (1.0 - 64.0 * np.finfo(float).eps)
-    d_hi, f_hi = distance(hi)
     for _ in range(60):
         if d_hi >= 0.9 * radius:
             break
@@ -239,8 +251,108 @@ def _sample_in_w2_ball(nu: DiscreteMeasure, V: Subspace, radius: float,
             lo, f_lo = mid, f_mid
             if d_mid >= 0.9 * radius:
                 hi, d_hi, f_hi = mid, d_mid, f_mid
-    scale, flows = (hi, f_hi) if d_hi <= radius else (lo, f_lo)
-    return DiscreteMeasure(nu.points + scale * directions, nu.weights), flows
+    return (hi, f_hi) if d_hi <= radius else (lo, f_lo)
+
+
+class _Trials:
+    """What the trials of one interiority experiment share: mu, its
+    canonical dual nu, whose atom k is the image of mu's atom k, the
+    certified exact dual, and the ball's radius sqrt(A) * eps.  (A plain
+    class: a dataclass would cost a millisecond at every import.)"""
+
+    def __init__(self, mu: DiscreteMeasure, nu: DiscreteMeasure, V: Subspace,
+                 dual: _ExactDual, eps: float, tol: Tolerance):
+        self.mu, self.nu, self.V, self.dual = mu, nu, V, dual
+        self.eps, self.tol = eps, tol
+        self.radius = float(np.sqrt(dual.a_max) * eps)
+
+    def run(self, trials: range, rng_seed: int) -> list[InteriorityTrial]:
+        """The records of a chunk of trials, trial t drawing its directions
+        from its own stream, seed + t.
+
+        Each trial jitters nu's atoms inside V, with its first probe at a
+        scale where the identity plan diag(w) costs a few ulps under
+        radius^2.  The chunk's first-probe costs are certified in one
+        stacked call, and the trials where diag(w) is optimal there, so that
+        the probe lands inside the ball, are judged as one stack.  Every
+        other trial resumes the bisection from its first probe, without
+        certifying it again, and is judged as a stack of one.
+        """
+        nu, radius = self.nu, self.radius
+        w = nu.weights
+        identity = np.diag(w)
+        if radius <= 0:
+            # Scale 0 leaves nu in place, and draws nothing.
+            return self.judge(trials, np.broadcast_to(
+                nu.points, (len(trials), *nu.points.shape)), identity)
+        proj = self.V.basis @ self.V.basis.T
+        rngs = [np.random.default_rng(rng_seed + t) for t in trials]
+        directions = np.array([rng.standard_normal(nu.points.shape)
+                               for rng in rngs]) @ proj
+        for k in np.flatnonzero(np.abs(directions).max(axis=(1, 2)) == 0.0):
+            while float(np.max(np.abs(directions[k]))) == 0.0:
+                directions[k] = rngs[k].standard_normal(nu.points.shape) @ proj
+        norm2 = np.sum(w * np.einsum("tki,tki->tk", directions, directions,
+                                     order="C"), axis=1)
+        # The graph coupling costs s^2 * sum w ||d||^2, so at the first
+        # probe the identity plan costs a few ulps under radius^2: when it is
+        # optimal, that probe lands inside the ball.
+        hi = radius / np.sqrt(norm2) * (1.0 - 64.0 * np.finfo(float).eps)
+        points = nu.points + hi[:, None, None] * directions
+        costs = _squared_distances(nu.points, points)
+        certified, primal, _, _ = _certify_start(costs, w, w, identity)
+        d_hi = _root_cost(primal)
+        inside = certified & (0.9 * radius <= d_hi) & (d_hi <= radius)
+        records = []
+        if inside.any():
+            records = self.judge([trials[k] for k in np.flatnonzero(inside)],
+                                 points[inside], identity)
+        for k in np.flatnonzero(~inside):
+            first = ((d_hi[k], identity) if certified[k]
+                     else _w2_of_cost(costs[k], w, w)[:2])
+            scale, flows = _bisect(nu, directions[k], radius, hi[k], *first)
+            records += self.judge([trials[k]], (nu.points
+                                                + scale * directions[k])[None],
+                                  flows)
+        return sorted(records, key=lambda r: r.trial)
+
+    def judge(self, trials, points: np.ndarray,
+              flows: np.ndarray) -> list[InteriorityTrial]:
+        """The records of the trials whose jitters of nu have atoms `points`
+        (T, m, n), each reached from nu by the one optimal plan `flows`
+        (m x m, row i leaving nu's atom i).  The plan is glued to the exact
+        dual by nu's atom index: the triples are (mu_i, nu_i, eta_j) at
+        weight flows[i, j].  Each check raises at its first failing trial."""
+        nu, dual, eps = self.nu, self.dual, self.eps
+        w, a = nu.weights, dual.a_max
+        net = np.abs(flows.sum(axis=1) - w)
+        bad = np.flatnonzero(net > MARGINAL_TOL)
+        if bad.size:
+            raise MarginalMismatch(
+                f"shared marginal masses differ by {net[bad[0]]:.3e}")
+        ii, jj = np.nonzero(flows > 0)
+        f = flows[ii, jj]
+        d = nu.points[ii] - points[:, jj]
+        # order="C": a Fortran-ordered result would be summed in another order.
+        lam = np.sum(f * np.einsum("tki,tki->tk", d, d, order="C"), axis=1)
+        # glue's weight w_a * w_b / mass with mass = w_i, which can round
+        # away from f: so the records equal perturbation_certificate's.
+        moments = np.einsum("k,ki,tkj->tij", w[ii] * f / w[ii],
+                            self.mu.points[ii], points[:, jj])
+        eps_claimed, eps_actual = dual.judge(lam, moments, eps)
+        bound_ok = np.ones(lam.shape, dtype=bool)
+        framed = lam < a
+        if framed.any():
+            _, vals, rank = _frame_spectrum(w, points[framed], self.V,
+                                            self.tol)
+            floor = (np.sqrt(a) - np.sqrt(lam[framed])) ** 2
+            bound_ok[framed] = (rank == self.V.dim) & (vals[:, 0] >= floor - 1e-9)
+        return [InteriorityTrial(trial=t, lam=float(lam[k]),
+                                 eps_claimed=float(eps_claimed[k]),
+                                 eps_actual=float(eps_actual[k]),
+                                 passed=float(eps_actual[k]) <= eps + 1e-9,
+                                 frame_bound_ok=bool(bound_ok[k]))
+                for k, t in enumerate(trials)]
 
 
 def interiority_experiment(mu: DiscreteMeasure, W: Subspace, V: Subspace,
@@ -249,57 +361,36 @@ def interiority_experiment(mu: DiscreteMeasure, W: Subspace, V: Subspace,
     """Monte-Carlo check that duality degrades gracefully under transport
     perturbations of the sampling measure.
 
-    Each trial owns its RNG stream (seed + trial index), samples a
-    perturbation near the boundary of the admissible ball, and runs the
-    perturbation certificate; the summary counts violations (expected 0)
-    and also tracks the perturbed measure's lower frame bound floor.
-    A trial glues its plan to the exact dual by nu's atom index, with no
-    atom matching: the triples are (mu_i, nu_i, eta_j) at weight
-    flows[i, j].  Where nu has atoms within POSITION_TOL of each other,
-    perturbation_certificate's glue pools them and the trial does not; the
-    two glued couplings are equal as measures.
+    Each trial owns its RNG stream (seed + trial index), so runs at
+    consecutive seeds share all but one trial.  It samples a perturbation
+    near the boundary of the admissible ball and runs the perturbation
+    certificate; the summary counts violations (expected 0) and also
+    tracks the perturbed measure's lower frame bound floor.  Trials run in
+    chunks of at most CHUNK_CELLS first-probe coordinate differences
+    (_Trials.run).  A trial glues its plan to the exact dual by nu's atom
+    index, with no atom matching.  Where nu has atoms within POSITION_TOL of
+    each other, perturbation_certificate's glue pools them and the trial
+    does not; the two glued couplings are equal as measures.
     """
     nu, gamma_dual = canonical_dual_measure(mu, W, V, tol)
     dual = _ExactDual.certify(mu, nu, gamma_dual, tol)
-    a = dual.a_max
-    radius = float(np.sqrt(a) * eps)
     # nu is the pushforward of mu atom by atom, so gamma_dual is the graph
     # coupling pairing mu's atom k with nu's atom k, and row i of a plan
     # leaves nu's atom i: gluing over nu is an index lookup.
-    x, w = mu.points, nu.weights
-
+    shared = _Trials(mu, nu, V, dual, eps, tol)
+    chunk = max(1, CHUNK_CELLS // (nu.num_atoms ** 2 * nu.ambient_dim))
     records = []
-    for t in range(trials):
-        rng = np.random.default_rng(rng_seed + t)
-        eta, flows = _sample_in_w2_ball(nu, V, radius, rng)
-        net = np.abs(flows.sum(axis=1) - w)
-        bad = np.flatnonzero(net > MARGINAL_TOL)
-        if bad.size:
-            raise MarginalMismatch(
-                f"shared marginal masses differ by {net[bad[0]]:.3e}")
-        ii, jj = np.nonzero(flows > 0)
-        f = flows[ii, jj]
-        d = nu.points[ii] - eta.points[jj]
-        lam = float(np.sum(f * np.einsum("ki,ki->k", d, d)))
-        # glue's weight w_a * w_b / mass with mass = w_i, which can round
-        # away from f: so the records equal perturbation_certificate's.
-        moment = np.einsum("k,ki,kj->ij", w[ii] * f / w[ii], x[ii],
-                           eta.points[jj])
-        eps_claimed, eps_actual = dual.judge(lam, moment, eps)
-        if lam < a:
-            eta_bounds = classify_probabilistic_frame(eta, V, tol).bounds
-            floor = (np.sqrt(a) - np.sqrt(lam)) ** 2
-            bound_ok = eta_bounds is not None and eta_bounds[0] >= floor - 1e-9
-        else:
-            bound_ok = True
-        records.append(InteriorityTrial(
-            trial=t,
-            lam=lam,
-            eps_claimed=eps_claimed,
-            eps_actual=eps_actual,
-            passed=eps_actual <= eps + 1e-9,
-            frame_bound_ok=bool(bound_ok),
-        ))
+    for lo in range(0, trials, chunk):
+        batch = range(lo, min(lo + chunk, trials))
+        try:
+            records += shared.run(batch, rng_seed)
+        except (FrameError, ValueError, InternalConsistencyError):
+            # A stack's checks raise in stage order; re-run the chunk one
+            # trial at a time, so that the error raised is the one that the
+            # lowest-index failing trial raises first.
+            for t in batch:
+                shared.run(range(t, t + 1), rng_seed)
+            raise
     failures = sum(1 for r in records if not r.passed)
     return InteriorityReport(
         eps=eps,

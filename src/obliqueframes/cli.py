@@ -322,7 +322,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("sampling_subspace")
     p.add_argument("--eps", type=_nonnegative(float), required=True)
     p.add_argument("--trials", type=_nonnegative(int), default=100)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=0,
+                   help="trial t runs on the RNG stream SEED + t, so runs at "
+                        "consecutive seeds share all but one trial")
     p.add_argument("--csv", default=None, help="also write per-trial CSV rows")
     p.set_defaults(func=cmd_interiority)
 

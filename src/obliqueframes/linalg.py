@@ -86,14 +86,16 @@ class Subspace:
 
     def first_outside(self, rows, eq_tol: float = DEFAULT_TOL.eq_tol) -> int | None:
         """Index of the first row x with ||x - B B^T x|| > eq_tol * ||x||,
-        or None when every row lies in the subspace; zero rows always do."""
+        or None when every row lies in the subspace; zero rows always do.
+        The rows of a stack (..., m, n) are counted in C order, so the
+        index of row k of matrix t of a (T, m, n) stack is t * m + k."""
         X = np.atleast_2d(_as_float_array(rows, "rows"))
-        if X.shape[1] != self.ambient_dim:
-            raise DimensionMismatch(f"rows live in R^{X.shape[1]}, "
+        if X.shape[-1] != self.ambient_dim:
+            raise DimensionMismatch(f"rows live in R^{X.shape[-1]}, "
                                     f"the subspace in R^{self.ambient_dim}")
         resid = X - (X @ self.basis) @ self.basis.T
-        outside = np.flatnonzero(np.linalg.norm(resid, axis=1)
-                                 > eq_tol * np.linalg.norm(X, axis=1))
+        outside = np.flatnonzero(np.linalg.norm(resid, axis=-1)
+                                 > eq_tol * np.linalg.norm(X, axis=-1))
         return int(outside[0]) if outside.size else None
 
     def project(self, x) -> np.ndarray:
@@ -102,8 +104,9 @@ class Subspace:
 
 def _above_cutoff(vals, n: int) -> np.ndarray:
     """The one rank rule: which eigenvalues of an n x n PSD matrix lie above
-    the cutoff rank_cutoff((n, n)) * lambda_max that its pseudoinverse applies."""
-    return vals > rank_cutoff((n, n)) * np.max(vals)
+    the cutoff rank_cutoff((n, n)) * lambda_max that its pseudoinverse applies
+    (along the last axis, for the spectra of a stack of matrices)."""
+    return vals > rank_cutoff((n, n)) * np.max(vals, axis=-1, keepdims=True)
 
 
 def factor_span(A) -> tuple[Subspace, np.ndarray]:
@@ -130,13 +133,15 @@ def pseudoinverse(M) -> np.ndarray:
     return np.linalg.pinv(M, rcond=rank_cutoff(M.shape))
 
 
-def restricted_spectrum(S, W: Subspace) -> tuple[np.ndarray, int]:
+def restricted_spectrum(S, W: Subspace):
     """The one frame test: ascending eigenvalues of S restricted to W and
     the rank of S on W, counting eigenvalues above the cutoff pseudoinverse
     applies to the n x n S.  S spans W (rank dim W) exactly when S^+ keeps
-    full rank on W, and the extreme eigenvalues are then the frame bounds."""
+    full rank on W, and the extreme eigenvalues are then the frame bounds.
+    For a stack S (..., n, n), both come per matrix: (..., d) and (...)."""
     vals = np.linalg.eigvalsh(W.basis.T @ S @ W.basis)
-    return vals, int(np.sum(_above_cutoff(vals, W.ambient_dim)))
+    rank = np.sum(_above_cutoff(vals, W.ambient_dim), axis=-1)
+    return vals, int(rank) if rank.ndim == 0 else rank
 
 
 def tight_and_parseval(lo: float, hi: float, tol: Tolerance) -> tuple[bool, bool]:
@@ -219,8 +224,12 @@ def orthogonal_complement(W: Subspace) -> Subspace:
     return Subspace(ambient_dim=n, basis=u[:, d:])
 
 
-def spectral_norm(M) -> float:
-    return float(np.linalg.norm(np.asarray(M, dtype=float), 2))
+def spectral_norm(M):
+    """Largest singular value of M, or of each matrix of a stack (..., m, n)."""
+    M = np.asarray(M, dtype=float)
+    if M.ndim < 3:
+        return float(np.linalg.norm(M, 2))
+    return np.linalg.norm(M, 2, axis=(-2, -1))
 
 
 def psd_sqrt(M) -> np.ndarray:

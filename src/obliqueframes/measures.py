@@ -82,7 +82,13 @@ def second_moment(mu: DiscreteMeasure) -> float:
 
 def measure_frame_operator(mu: DiscreteMeasure) -> np.ndarray:
     """Second-moment matrix sum_k w_k x_k x_k^T (symmetric PSD)."""
-    return np.einsum("k,ki,kj->ij", mu.weights, mu.points, mu.points)
+    return _moment_matrix(mu.weights, mu.points)
+
+
+def _moment_matrix(weights: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """sum_k w_k x_k x_k^T for the atoms x of `points`, or for each measure
+    of a stack (..., m, n) of atoms at the same weights."""
+    return np.einsum("k,...ki,...kj->...ij", weights, points, points)
 
 
 def pushforward(mu: DiscreteMeasure, T) -> DiscreteMeasure:
@@ -159,6 +165,22 @@ def weak_equal(mu: DiscreteMeasure, nu: DiscreteMeasure) -> bool:
     return is_marginal(mu.points, mu.weights, nu)
 
 
+def _frame_spectrum(weights: np.ndarray, points: np.ndarray, W: Subspace,
+                    tol: Tolerance):
+    """classify_probabilistic_frame's test of the measure with atoms
+    `points` (m, n) at `weights` on W, or of each measure of a stack
+    (T, m, n) of atoms at those weights: SupportOutsideSubspace at the first
+    atom of positive weight outside W, else the moment matrix with
+    restricted_spectrum's eigenvalues and rank on W."""
+    k = W.first_outside(np.where((weights > 0)[:, None], points, 0.0),
+                        tol.eq_tol)
+    if k is not None:
+        raise SupportOutsideSubspace(
+            f"atom {k % points.shape[-2]} lies outside the claimed subspace")
+    S = _moment_matrix(weights, points)
+    return (S, *restricted_spectrum(S, W))
+
+
 @dataclass(frozen=True)
 class MeasureFrameReport:
     second_moment: float
@@ -177,12 +199,7 @@ def classify_probabilistic_frame(mu: DiscreteMeasure, W: Subspace,
     (linalg.restricted_spectrum), and its bounds, the extreme eigenvalues
     there, alone decide tightness (linalg.tight_and_parseval).
     """
-    k = W.first_outside(np.where((mu.weights > 0)[:, None], mu.points, 0.0),
-                        tol.eq_tol)
-    if k is not None:
-        raise SupportOutsideSubspace(f"atom {k} lies outside the claimed subspace")
-    S = measure_frame_operator(mu)
-    vals, rank = restricted_spectrum(S, W)
+    S, vals, rank = _frame_spectrum(mu.weights, mu.points, W, tol)
     lo, hi = float(vals[0]), float(vals[-1])
     is_frame = rank == W.dim
     is_tight, is_parseval = tight_and_parseval(lo, hi, tol) if is_frame \

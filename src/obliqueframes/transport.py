@@ -186,31 +186,63 @@ class TransportCertificate:
     iterations: int
 
 
+def _price_scale(cost: np.ndarray):
+    """The simplex's slack on a reduced cost, per matrix of a stack."""
+    return 1e-12 * (1.0 + np.abs(cost).max(axis=(-2, -1)))
+
+
 def _certify_start(cost: np.ndarray, supply: np.ndarray, demand: np.ndarray,
-                   start, scale: float):
-    """The start plan and its certificate if it is optimal, else None.  Its
-    potentials are shortest paths on its residual graph (i -> j at c_ij on
-    every cell, j -> i at -c_ij where flow is positive), by Bellman-Ford
-    rounds that relax all edges at once until every reduced cost passes the
-    simplex's stopping test; if m + k rounds do not, a cycle is negative."""
+                   start):
+    """Which matrices of a stack of costs (T, m, k) one start plan is optimal
+    for, with the plan's cost under each and the potentials that certify it.
+    The potentials are shortest paths on the plan's residual graph (i -> j
+    at c_ij on every cell, j -> i at -c_ij where flow is positive), by
+    Bellman-Ford rounds that relax all edges at once until every reduced
+    cost passes the simplex's stopping test; a matrix that m + k rounds do
+    not settle has a negative cycle.  A matrix keeps the potentials of the
+    round that settled it.  A non-finite cost is a ValueError."""
+    cost = _as_float_array(cost, "transport cost")
     flows = np.array(start, dtype=float)
-    if flows.shape != cost.shape:
+    if flows.shape != cost.shape[1:]:
         raise DimensionMismatch("start plan shape disagrees with the marginals")
     if not (flows.min() >= 0.0
             and np.abs(flows.sum(axis=1) - supply).max() <= MARGINAL_TOL
             and np.abs(flows.sum(axis=0) - demand).max() <= MARGINAL_TOL):
         raise MarginalMismatch("start plan is infeasible for the marginals")
+    stack, m, k = cost.shape
+    scale = _price_scale(cost)
     positive = flows > 0.0
     back = np.where(positive, -cost, np.inf)
-    row, col = np.zeros(supply.shape[0]), np.zeros(demand.shape[0])
-    for _ in range(sum(cost.shape)):
-        row = np.minimum(row, (col + back).min(axis=1))
-        reduced = cost + row[:, None] - col
-        if reduced.min() >= -scale and not (reduced[positive] > scale).any():
-            primal = float(np.sum(flows * cost))
-            dual = float(col @ demand - row @ supply)
-            return flows, TransportCertificate(primal, abs(primal - dual), 0)
-        col = np.minimum(col, (row[:, None] + cost).min(axis=0))
+    # A matrix settles when its reduced costs are >= lower, and <= upper:
+    # the simplex's slack, on the cells with flow.
+    lower = -scale
+    upper = np.where(positive, scale[:, None, None], np.inf)
+    certified = np.zeros(stack, dtype=bool)
+    rows, cols = np.zeros((stack, m)), np.zeros((stack, k))
+    # The matrices not yet settled, with their potentials as (m, 1) and
+    # (1, k) columns and rows.
+    left = np.arange(stack)
+    row, col = np.zeros((stack, m, 1)), np.zeros((stack, 1, k))
+    c = cost
+    for _ in range(m + k):
+        row = np.minimum(row, (col + back).min(axis=2, keepdims=True))
+        reduced = c + row - col
+        settled = reduced.min(axis=(1, 2)) >= lower
+        if np.count_nonzero(settled):   # the cheaper test first
+            settled &= (reduced <= upper).all(axis=(1, 2))
+        count = np.count_nonzero(settled)
+        if count:
+            done = left[settled]
+            certified[done] = True
+            rows[done], cols[done] = row[settled, :, 0], col[settled, 0, :]
+            if count == settled.size:
+                break
+            keep = ~settled
+            left, row, col = left[keep], row[keep], col[keep]
+            c, back, lower, upper = c[keep], back[keep], lower[keep], upper[keep]
+        col = np.minimum(col, (row + c).min(axis=1, keepdims=True))
+    primal = (flows * cost).reshape(stack, -1).sum(axis=1)
+    return certified, primal, rows, cols
 
 
 def solve_transport(cost: np.ndarray, supply: np.ndarray, demand: np.ndarray,
@@ -240,11 +272,15 @@ def solve_transport(cost: np.ndarray, supply: np.ndarray, demand: np.ndarray,
         raise DimensionMismatch("cost matrix shape disagrees with marginals")
     if abs(float(np.sum(supply) - np.sum(demand))) > MARGINAL_TOL:
         raise MarginalMismatch("total supply and demand differ")
-    scale = 1e-12 * (1.0 + float(np.max(np.abs(cost))))
     if start is not None:
-        certified = _certify_start(cost, supply, demand, start, scale)
-        if certified is not None:
-            return certified
+        certified, primal, row, col = _certify_start(cost[None], supply,
+                                                     demand, start)
+        if certified[0]:
+            primal = float(primal[0])
+            dual = float(col[0] @ demand - row[0] @ supply)
+            return (np.array(start, dtype=float),
+                    TransportCertificate(primal, abs(primal - dual), 0))
+    scale = float(_price_scale(cost))
 
     flows, in_basis = _least_cost_basis(cost, supply, demand)
     flow = flows.tolist()
@@ -339,18 +375,47 @@ def solve_transport(cost: np.ndarray, supply: np.ndarray, demand: np.ndarray,
                                        iterations=iterations)
 
 
+# Coordinate differences in one block that _squared_distances builds: it
+# pairs as many rows of x with y as fit, so memory stays fixed at any size,
+# and each entry is summed over the coordinates exactly as in one block.
+SQDIST_CELLS = 1 << 16
+
+
+def _squared_distances(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """||x_i - y_j||^2 between the rows of x (m, n) and of y (k, n), or of
+    each point set of a stack y (T, k, n), as an (m, k) or (T, m, k) array,
+    built in blocks of rows of x of at most SQDIST_CELLS differences (one
+    row at least)."""
+    rows = max(1, SQDIST_CELLS // y.size)
+    out = np.empty(y.shape[:-2] + (x.shape[0], y.shape[-2]))
+    for lo in range(0, x.shape[0], rows):
+        diff = x[lo:lo + rows, None, :] - y[..., None, :, :]
+        np.einsum("...ijk,...ijk->...ij", diff, diff,
+                  out=out[..., lo:lo + rows, :])
+    return out
+
+
+def _root_cost(total):
+    """W2 from a plan's quadratic cost, which is nonnegative: round-off dust
+    below zero is clamped before the root."""
+    return np.sqrt(np.where(total > 0.0, total, 0.0))
+
+
+def _w2_of_cost(cost: np.ndarray, wx: np.ndarray, wy: np.ndarray, *,
+                start=None) -> tuple[float, np.ndarray, TransportCertificate]:
+    """Exact 2-Wasserstein distance with the optimal flows, between measures
+    of weights wx and wy whose squared distances are `cost`."""
+    flows, cert = solve_transport(cost, wx, wy, start=start)
+    return float(_root_cost(cert.cost)), flows, cert
+
+
 def _solve_w2(x: np.ndarray, wx: np.ndarray, y: np.ndarray, wy: np.ndarray,
               *, start=None) -> tuple[float, np.ndarray, TransportCertificate]:
     """Exact 2-Wasserstein distance with the optimal flows between the atoms
     x (weights wx) and y (weights wy) of two measures."""
     if x.shape[1] != y.shape[1]:
         raise DimensionMismatch("measures live in different ambient spaces")
-    diff = x[:, None, :] - y[None, :, :]
-    cost = np.einsum("ijk,ijk->ij", diff, diff)
-    flows, cert = solve_transport(cost, wx, wy, start=start)
-    # Quadratic costs are nonnegative; clamp round-off dust before the root.
-    total = cert.cost if cert.cost > 0.0 else 0.0
-    return float(np.sqrt(total)), flows, cert
+    return _w2_of_cost(_squared_distances(x, y), wx, wy, start=start)
 
 
 def exact_w2(mu: DiscreteMeasure, nu: DiscreteMeasure

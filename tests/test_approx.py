@@ -8,6 +8,8 @@ from obliqueframes import (
     Coupling,
     DiscreteMeasure,
     HypothesisViolated,
+    MarginalMismatch,
+    SupportOutsideSubspace,
     approx_dual_residual,
     canonical_dual_measure,
     classify_probabilistic_frame,
@@ -36,6 +38,22 @@ def perturbed_skew_line():
     mu, nu, _ = skew_line_measures()
     nu_shift = DiscreteMeasure([[0.0, 0.0], [2.2, 2.2]], [0.5, 0.5])
     return mu, nu_shift, product_coupling(mu, nu_shift)
+
+
+def record_trials(monkeypatch):
+    """A dict that gains, for each trial the experiment judges, its jittered
+    measure eta and its optimal plan from nu, read from the stacks of
+    trials that _Trials.judge is given."""
+    sampled = {}
+    judge = approx_mod._Trials.judge
+
+    def recording(self, trials, points, flows):
+        for t, eta in zip(trials, points):
+            sampled[t] = (DiscreteMeasure(eta, self.nu.weights), flows)
+        return judge(self, trials, points, flows)
+
+    monkeypatch.setattr(approx_mod._Trials, "judge", recording)
+    return sampled
 
 
 class TestApproxDualResidual:
@@ -255,19 +273,15 @@ class TestInteriorityExperiment:
         assert not any(r.passed for r in summary.records)
 
     def test_trials_match_the_public_certificate(self, monkeypatch):
-        # The experiment certifies the exact dual once and each trial runs
-        # only the perturbation checks, gluing by nu's atom index; the
-        # results must be the ones the full public certificate gives on the
-        # same perturbation.  At eps = 2.0 a bisection probe pivots.
+        # The experiment certifies the exact dual once and judges its trials
+        # in stacks, gluing by nu's atom index; each trial's results must be
+        # the ones the full public certificate gives on the same
+        # perturbation.  At eps = 2.0 a bisection probe pivots.
         from obliqueframes import transport
 
-        sampled, pivots = [], []
-        sample = approx_mod._sample_in_w2_ball
+        pivots = []
+        sampled = record_trials(monkeypatch)
         solve = transport.solve_transport
-
-        def recording(*args):
-            sampled.append(sample(*args))
-            return sampled[-1]
 
         def counting(*args, **kwargs):
             flows, cert = solve(*args, **kwargs)
@@ -278,7 +292,6 @@ class TestInteriorityExperiment:
         W, V = random_admissible_pair(rng, 3, 2)
         mu = random_measure_on(rng, W, 4)
         nu, gamma = canonical_dual_measure(mu, W, V)
-        monkeypatch.setattr(approx_mod, "_sample_in_w2_ball", recording)
         monkeypatch.setattr(transport, "solve_transport", counting)
         for eps in (0.2, 2.0):
             sampled.clear()
@@ -286,8 +299,10 @@ class TestInteriorityExperiment:
             summary = interiority_experiment(mu, W, V, eps=eps, trials=4,
                                              rng_seed=3)
             assert any(pivots) == (eps == 2.0)
-            assert len(sampled) == len(summary.records) == 4
-            for record, (eta, flows) in zip(summary.records, sampled):
+            assert sorted(sampled) == [r.trial for r in summary.records] \
+                == [0, 1, 2, 3]
+            for record in summary.records:
+                eta, flows = sampled[record.trial]
                 pert = transport._flow_coupling(nu, eta, flows)
                 cert = perturbation_certificate(mu, nu, gamma, eta, pert, eps)
                 assert cert.lam == record.lam
@@ -300,13 +315,7 @@ class TestInteriorityExperiment:
         # apart; the glued couplings are equal as measures.
         from obliqueframes import transport
 
-        sampled = []
-        sample = approx_mod._sample_in_w2_ball
-
-        def recording(*args):
-            sampled.append(sample(*args))
-            return sampled[-1]
-
+        sampled = record_trials(monkeypatch)
         rng = np.random.default_rng(9)
         W, V = random_admissible_pair(rng, 3, 2)
         base = random_measure_on(rng, W, 6)
@@ -316,14 +325,15 @@ class TestInteriorityExperiment:
         weights = np.concatenate([base.weights, base.weights[:2] / 2])
         weights[:2] /= 2
         mu = DiscreteMeasure(points, weights)
-        monkeypatch.setattr(approx_mod, "_sample_in_w2_ball", recording)
         summary = interiority_experiment(mu, W, V, eps=0.5, trials=8,
                                          rng_seed=0)
         assert summary.failures == 0
         nu, gamma = canonical_dual_measure(mu, W, V)
         assert np.array_equal(nu.points[0], nu.points[6])
         assert 0 < np.max(np.abs(nu.points[1] - nu.points[7])) <= 1e-9
-        for record, (eta, flows) in zip(summary.records, sampled):
+        assert sorted(sampled) == list(range(8))
+        for record in summary.records:
+            eta, flows = sampled[record.trial]
             pert = transport._flow_coupling(nu, eta, flows)
             cert = perturbation_certificate(mu, nu, gamma, eta, pert, 0.5)
             assert cert.lam == record.lam
@@ -353,14 +363,31 @@ class TestInteriorityExperiment:
         assert np.array_equal(dual.pi_wv, oblique_projection(W, V))
 
 
+def refusing_certification(monkeypatch):
+    """Make every start certification refuse every matrix of its stack, the
+    chunk's first probes and each later probe's alike."""
+    from obliqueframes import transport
+
+    certify = transport._certify_start
+
+    def refusing(*args):
+        certified, *rest = certify(*args)
+        return (np.zeros_like(certified), *rest)
+
+    monkeypatch.setattr(approx_mod, "_certify_start", refusing)
+    monkeypatch.setattr(transport, "_certify_start", refusing)
+
+
 class TestCertifiedStart:
     @pytest.mark.parametrize("atoms", [12, 50])
     @pytest.mark.parametrize("eps", [0.01, 0.1, 0.5, 1.0, 2.0])
     def test_identity_start_leaves_the_trials_unchanged(self, monkeypatch,
                                                         atoms, eps):
-        # Every bisection probe passes the identity plan as its start.  A
-        # certified start must return what the simplex returns, and an
-        # uncertified one must fall back to the simplex itself.
+        # The chunk's first probes are certified in one stacked call, and
+        # every later probe passes the identity plan as its start.  A
+        # certified start must give what the simplex gives: with every
+        # certification refused, every probe runs the simplex, and the
+        # trials must come out the same.
         from obliqueframes import transport
 
         rng = np.random.default_rng([atoms, 17])
@@ -370,7 +397,6 @@ class TestCertifiedStart:
         pivots = []
 
         def recording(cost, supply, demand, *, start=None):
-            assert start is not None
             flows, cert = solve(cost, supply, demand, start=start)
             pivots.append(cert.iterations)
             return flows, cert
@@ -378,59 +404,180 @@ class TestCertifiedStart:
         monkeypatch.setattr(transport, "solve_transport", recording)
         with_start = interiority_experiment(mu, W, V, eps=eps, trials=3,
                                             rng_seed=5)
-        monkeypatch.setattr(transport, "solve_transport",
-                            lambda cost, supply, demand, *, start=None:
-                            solve(cost, supply, demand))
+        with_pivots = list(pivots)
+        pivots.clear()
+        refusing_certification(monkeypatch)
         without = interiority_experiment(mu, W, V, eps=eps, trials=3,
                                          rng_seed=5)
         assert with_start == without
         assert with_start.failures == 0
+        # Each trial's first probe at least ran the simplex.
+        assert len(pivots) >= 3
         if eps <= 0.01:
-            assert not any(pivots)
+            assert not any(with_pivots)
         if eps >= 1.0:
-            assert any(pivots)
-
+            assert any(with_pivots)
 
     def test_certified_first_probe_inside_the_ball_is_the_only_solve(
             self, monkeypatch):
         # On the triangle at eps = 0.1 the identity plan is optimal at every
         # first probe, which must then land inside the ball, not a few ulps
-        # past its radius, and end the trial's search.
+        # past its radius, and end the trial's search: each chunk's first
+        # probes are certified in one stacked call, and no W2 solve runs.
         from obliqueframes import transport
 
-        certified, probes, trials = [], [], []
-        certify = transport._certify_start
-        solve = approx_mod._solve_w2
-        sample = approx_mod._sample_in_w2_ball
+        mu = mercedes_benz_measure()
+        R2 = full_space(2)
+        nu, gamma = canonical_dual_measure(mu, R2, R2)
+        dual = approx_mod._ExactDual.certify(mu, nu, gamma, DEFAULT_TOL)
+        radius = np.sqrt(dual.a_max) * 0.1
+        stacks, solves = [], []
+        certify = approx_mod._certify_start
 
         def certifying(*args):
             result = certify(*args)
-            certified.append(result is not None)
+            stacks.append((result[0], np.sqrt(result[1])))
             return result
 
-        def solving(*args, **kwargs):
-            result = solve(*args, **kwargs)
-            probes.append((result[0], certified[-1]))
+        monkeypatch.setattr(approx_mod, "_certify_start", certifying)
+        monkeypatch.setattr(transport, "solve_transport",
+                            lambda *args, **kwargs: solves.append(args))
+        # 50 trials of 3 atoms in R^2: one chunk, or four of at most 16.
+        for cells, chunks in [(approx_mod.CHUNK_CELLS, 1), (16 * 9 * 2, 4)]:
+            monkeypatch.setattr(approx_mod, "CHUNK_CELLS", cells)
+            stacks.clear()
+            summary = interiority_experiment(mu, R2, R2, eps=0.1, trials=50,
+                                             rng_seed=1)
+            assert summary.failures == 0
+            assert solves == []
+            assert len(stacks) == chunks
+            assert sum(certified.size for certified, _ in stacks) == 50
+            for certified, distance in stacks:
+                assert certified.all()
+                assert np.all((0.9 * radius <= distance) & (distance <= radius))
+
+    def test_a_refused_first_probe_is_certified_once(self, monkeypatch):
+        # At eps = 2.0 on 12 seeded atoms some first probes are refused.
+        # Each such trial resumes the bisection from that probe: its W2
+        # solve runs the simplex with no start plan to certify again, and
+        # every later probe passes diag(w) as its start.
+        from obliqueframes import transport
+
+        rng = np.random.default_rng([12, 17])
+        W, V = random_admissible_pair(rng, 3, 2)
+        mu = random_measure_on(rng, W, 12)
+        stacks, starts = [], []
+        certify = approx_mod._certify_start
+        solve = transport.solve_transport
+
+        def certifying(*args):
+            result = certify(*args)
+            stacks.append(result[0])
             return result
 
-        def sampling(nu, V, radius, rng):
-            first = len(probes)
-            result = sample(nu, V, radius, rng)
-            trials.append((radius, probes[first:]))
-            return result
+        def solving(cost, supply, demand, *, start=None):
+            starts.append(start is None)
+            return solve(cost, supply, demand, start=start)
 
-        monkeypatch.setattr(transport, "_certify_start", certifying)
-        monkeypatch.setattr(approx_mod, "_solve_w2", solving)
-        monkeypatch.setattr(approx_mod, "_sample_in_w2_ball", sampling)
-        R2 = full_space(2)
-        summary = interiority_experiment(mercedes_benz_measure(), R2, R2,
-                                         eps=0.1, trials=50, rng_seed=1)
+        monkeypatch.setattr(approx_mod, "_certify_start", certifying)
+        monkeypatch.setattr(transport, "solve_transport", solving)
+        summary = interiority_experiment(mu, W, V, eps=2.0, trials=8,
+                                         rng_seed=5)
         assert summary.failures == 0
-        assert len(trials) == 50
-        for radius, calls in trials:
-            distance, was_certified = calls[0]
-            assert was_certified and 0.9 * radius <= distance <= radius
-            assert len(calls) == 1
+        [certified] = stacks
+        assert certified.size == 8
+        refused = int(np.sum(~certified))
+        assert 0 < refused < 8
+        assert sum(starts) == refused
+
+
+def chunk_case(case):
+    """mu, W and V of the inputs the chunk tests run on."""
+    if case == "triangle":
+        return mercedes_benz_measure(), full_space(2), full_space(2)
+    if case == "skew-lines":
+        return (skew_line_measures()[0], *skew_line_subspaces())
+    rng = np.random.default_rng([12, 17])
+    W, V = random_admissible_pair(rng, 3, 2)
+    return random_measure_on(rng, W, 12), W, V
+
+
+class TestTrialChunks:
+    @pytest.mark.parametrize("case", ["triangle", "skew-lines", "oblique12"])
+    @pytest.mark.parametrize("eps", [0.0, 0.1, 2.0])
+    def test_chunk_size_changes_no_record(self, monkeypatch, case, eps):
+        # One trial per chunk, and chunks of 5 that do not divide the 12
+        # trials, give the records of the default chunk.
+        mu, W, V = chunk_case(case)
+        want = interiority_experiment(mu, W, V, eps=eps, trials=12,
+                                      rng_seed=4)
+        assert want.failures == 0
+        for trials in (1, 5):
+            monkeypatch.setattr(approx_mod, "CHUNK_CELLS",
+                                trials * mu.num_atoms ** 2 * mu.ambient_dim)
+            assert interiority_experiment(mu, W, V, eps=eps, trials=12,
+                                          rng_seed=4) == want
+
+    @pytest.mark.parametrize("kind, error", [
+        ("budget", HypothesisViolated),
+        ("support", SupportOutsideSubspace),
+        ("marginal", MarginalMismatch),
+    ])
+    def test_the_lowest_failing_trial_raises_its_own_error(
+            self, monkeypatch, kind, error):
+        # Trial `bad` fails one check after trials of its chunk that pass,
+        # and a later trial of the chunk is over the cost budget, a check
+        # that a stack runs before the frame test and that the chunk's
+        # stack of certified trials runs before any resumed trial's.  The
+        # error must be trial bad's own, as when the trials run one at a
+        # time.  A marginal mismatch can only come from a resumed trial's
+        # plan, so that trial is one whose first probe was refused.  At
+        # eps = 0.5 and seed 2, the first probes of trials 0, 1, 2 and 4 are
+        # certified, and the others refused.
+        mu, W, V = chunk_case("oblique12")
+        eps, seed = 0.5, 2
+        judged = record_trials(monkeypatch)
+        stacks = []
+        judge = approx_mod._Trials.judge
+
+        def recording(self, trials, points, flows):
+            stacks.append(list(trials))
+            return judge(self, trials, points, flows)
+
+        monkeypatch.setattr(approx_mod._Trials, "judge", recording)
+        interiority_experiment(mu, W, V, eps=eps, trials=8, rng_seed=seed)
+        assert sorted(judged) == list(range(8))
+        stacked = [t for ts in stacks if len(ts) > 1 for t in ts]
+        if kind == "marginal":
+            bad = min(t for [t] in (ts for ts in stacks if len(ts) == 1)
+                      if t > min(stacked))
+        else:
+            bad = 2
+        later = max(stacked)
+        assert min(stacked) < bad < later
+        normal = np.linalg.svd(V.basis)[0][:, -1]
+
+        def violating(self, trials, points, flows):
+            points = np.array(points)
+            for k, t in enumerate(trials):
+                if t == later or (t == bad and kind == "budget"):
+                    points[k] = self.nu.points + 10.0 * (points[k]
+                                                         - self.nu.points)
+                elif t == bad and kind == "support":
+                    points[k] = self.nu.points + 1e-6 * normal
+                elif t == bad:
+                    flows = 1.5 * flows
+            return judge(self, trials, points, flows)
+
+        monkeypatch.setattr(approx_mod._Trials, "judge", violating)
+        errors = []
+        for cells in (approx_mod.CHUNK_CELLS, 1):
+            monkeypatch.setattr(approx_mod, "CHUNK_CELLS", cells)
+            with pytest.raises(error) as exc:
+                interiority_experiment(mu, W, V, eps=eps, trials=8,
+                                       rng_seed=seed)
+            errors.append(str(exc.value))
+        assert errors[0] == errors[1]
 
 
 class TestCrossModuleConsistency:

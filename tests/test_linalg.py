@@ -314,6 +314,29 @@ class TestFrameTestKernel:
         assert restricted_spectrum(np.zeros((2, 2)), W)[1] == 0
 
 
+class TestStackedKernels:
+    """The frame test, its membership test and the spectral norm take a
+    stack of matrices and answer for each as they do for it alone."""
+
+    def test_each_matrix_of_a_stack_as_alone(self):
+        rng = np.random.default_rng(23)
+        W = random_subspace(rng, 4, 2)
+        rows = rng.standard_normal((5, 6, 2)) @ W.basis.T
+        rows[3, 4] += 1e-3 * orthogonal_complement(W).basis[:, 0]
+        assert W.first_outside(rows, EQ) == 3 * 6 + 4
+        assert W.first_outside(rows[:3], EQ) is None
+        S = np.einsum("tki,tkj->tij", rows, rows)
+        S[1] = W.basis[:, :1] @ W.basis[:, :1].T   # rank 1 on W
+        vals, rank = restricted_spectrum(S, W)
+        alone = [restricted_spectrum(s, W) for s in S]
+        assert np.array_equal(vals, [v for v, _ in alone])
+        assert rank.tolist() == [r for _, r in alone] == [2, 1, 2, 2, 2]
+        assert all(type(r) is int for _, r in alone)
+        M = rng.standard_normal((3, 4, 5))
+        assert np.array_equal(spectral_norm(M), [spectral_norm(a) for a in M])
+        assert type(spectral_norm(M[0])) is float
+
+
 class TestOneTolerance:
     @pytest.mark.parametrize("eq_tol", [np.inf, np.nan, -np.inf, -1.0])
     def test_tolerance_must_be_finite_and_positive(self, eq_tol):

@@ -839,7 +839,7 @@ class TestWorkDoneOnce:
     @pytest.fixture
     def classify_calls(self, monkeypatch):
         """Every classify_probabilistic_frame call, whichever module makes it."""
-        from obliqueframes import approx, duality, measures
+        from obliqueframes import duality, measures
 
         calls = []
         classify = measures.classify_probabilistic_frame
@@ -848,7 +848,7 @@ class TestWorkDoneOnce:
             calls.append(args[0])
             return classify(*args, **kwargs)
 
-        for module in (approx, duality, measures):
+        for module in (duality, measures):
             monkeypatch.setattr(module, "classify_probabilistic_frame", counting)
         return calls
 
@@ -859,11 +859,35 @@ class TestWorkDoneOnce:
         assert len(classify_calls) == 0
 
     def test_interiority_classifies_mu_once_and_each_trial_once(
-            self, classify_calls):
+            self, classify_calls, monkeypatch):
+        # mu is classified once.  The 16 triangle trials are one chunk: one
+        # stacked certification of their first probes, which all land
+        # inside the ball, so no W2 solve runs, and one stacked frame test,
+        # one measure per trial.
+        from obliqueframes import approx
+
+        certified, framed, solves = [], [], []
+        certify, frame_spectrum = approx._certify_start, approx._frame_spectrum
+
+        def certifying(cost, *args):
+            certified.append(len(cost))
+            return certify(cost, *args)
+
+        def framing(weights, points, W, tol):
+            framed.append(points.shape)
+            return frame_spectrum(weights, points, W, tol)
+
+        monkeypatch.setattr(approx, "_certify_start", certifying)
+        monkeypatch.setattr(approx, "_frame_spectrum", framing)
+        monkeypatch.setattr(transport, "solve_transport",
+                            lambda *args, **kwargs: solves.append(args))
         assert run_cli("interiority", fixture("mercedes_benz_measure.json"),
                        fixture("plane.json"), fixture("plane.json"),
                        "--eps", "0.1", "--trials", "16") == 0
-        assert len(classify_calls) == 1 + 16
+        assert len(classify_calls) == 1
+        assert certified == [16]
+        assert framed == [(16, 3, 2)]
+        assert solves == []
 
     def test_parsed_coupling_aggregates_each_side_once(self, match_calls):
         from obliqueframes.measures import is_marginal

@@ -130,14 +130,15 @@ def solve_both(cost, w):
 
 def record_refusals(monkeypatch):
     """A list that gains, at each start plan the solver is given, whether
-    the start's certificate turned it down."""
+    the start's certificate turned it down.  The solver certifies its one
+    cost matrix as a stack of one."""
     refused = []
     certify = transport._certify_start
 
     def recording(*args):
-        certified = certify(*args)
-        refused.append(certified is None)
-        return certified
+        result = certify(*args)
+        refused.append(not result[0][0])
+        return result
 
     monkeypatch.setattr(transport, "_certify_start", recording)
     return refused
@@ -566,6 +567,39 @@ class TestCertifiedStart:
         w = np.array([0.5, 0.5])
         with pytest.raises(error):
             solve_transport(np.ones((2, 2)), w, w, start=start)
+
+
+class TestStackedKernels:
+    @pytest.mark.parametrize("cells", [1, 100, 1000, transport.SQDIST_CELLS])
+    def test_squared_distances_match_the_one_block_build(self, monkeypatch,
+                                                         cells):
+        # Row blocks of any size change no bit: each entry is the same sum
+        # over the coordinates, for one pair of point sets or a stack.
+        monkeypatch.setattr(transport, "SQDIST_CELLS", cells)
+        rng = np.random.default_rng([cells, 5])
+        x, y = rng.standard_normal((40, 7)), rng.standard_normal((4, 9, 7))
+        assert np.array_equal(transport._squared_distances(x, y[0]),
+                              squared_distances(x, y[0]))
+        assert np.array_equal(transport._squared_distances(x, y),
+                              [squared_distances(x, z) for z in y])
+
+    @pytest.mark.parametrize("eps", [0.1, 1.0, 2.0])
+    def test_a_stack_certifies_each_matrix_as_alone(self, eps):
+        # The jitters of one measure settle in different rounds, or not at
+        # all; each keeps the decision, cost and potentials it gets alone.
+        rng = np.random.default_rng([12, 8])
+        x = rng.standard_normal((12, 3))
+        w = 0.2 + rng.random(12)
+        w /= w.sum()
+        costs = np.array([squared_distances(x, x + eps * 0.1 * (t + 1) * d)
+                          for t, d in enumerate(rng.standard_normal((6, 12, 3)))])
+        stacked = transport._certify_start(costs, w, w, np.diag(w))
+        alone = [transport._certify_start(c[None], w, w, np.diag(w))
+                 for c in costs]
+        for got, want in zip(stacked, zip(*alone)):
+            assert np.array_equal(got, np.concatenate(want))
+        if eps == 1.0:
+            assert 0 < np.count_nonzero(stacked[0]) < len(costs)
 
 
 class TestGlue:
