@@ -51,7 +51,7 @@ from .measures import (
 )
 from .transport import (
     Coupling,
-    _certify_start,
+    _certify_identity,
     _root_cost,
     _solve_w2,
     _squared_distances,
@@ -224,15 +224,16 @@ def _bisect(nu: DiscreteMeasure, directions: np.ndarray, radius: float,
     d_hi with plan f_hi.
 
     Bisection on the scale drives the exact distance into [0.9, 1.0] *
-    radius so the certificate is exercised near its boundary.  Each later
-    probe passes the identity plan diag(w), which is feasible between nu and
-    any of its jitters, as the start of its W2 solve.
+    radius so the certificate is exercised near its boundary.  Later probes
+    run the simplex without certifying diag(w): each cycle's cost is affine
+    in the scale, so diag(w) is optimal exactly on an interval [0, s*], and
+    after a refused first probe every later probe lies above it.
     """
     identity = np.diag(nu.weights)
 
     def distance(s: float) -> tuple[float, np.ndarray]:
         return _solve_w2(nu.points, nu.weights, nu.points + s * directions,
-                         nu.weights, start=identity)[:2]
+                         nu.weights)[:2]
 
     lo, f_lo = 0.0, identity   # scale 0 leaves nu in place
     for _ in range(60):
@@ -273,10 +274,11 @@ class _Trials:
         Each trial jitters nu's atoms inside V, with its first probe at a
         scale where the identity plan diag(w) costs a few ulps under
         radius^2.  The chunk's first-probe costs are certified in one
-        stacked call, and the trials where diag(w) is optimal there, so that
-        the probe lands inside the ball, are judged as one stack.  Every
-        other trial resumes the bisection from its first probe, without
-        certifying it again, and is judged as a stack of one.
+        stacked call, the library's one certification of diag(w), and the
+        trials where diag(w) is optimal there, so that the probe lands inside
+        the ball, are judged as one stack.  Every other trial resumes the
+        bisection from its first probe, each later probe a simplex solve
+        (_bisect), and is judged as a stack of one.
         """
         nu, radius = self.nu, self.radius
         w = nu.weights
@@ -300,7 +302,7 @@ class _Trials:
         hi = radius / np.sqrt(norm2) * (1.0 - 64.0 * np.finfo(float).eps)
         points = nu.points + hi[:, None, None] * directions
         costs = _squared_distances(nu.points, points)
-        certified, primal, _, _ = _certify_start(costs, w, w, identity)
+        certified, primal = _certify_identity(costs, w)
         d_hi = _root_cost(primal)
         inside = certified & (0.9 * radius <= d_hi) & (d_hi <= radius)
         records = []

@@ -191,95 +191,76 @@ def _price_scale(cost: np.ndarray):
     return 1e-12 * (1.0 + np.abs(cost).max(axis=(-2, -1)))
 
 
-def _certify_start(cost: np.ndarray, supply: np.ndarray, demand: np.ndarray,
-                   start):
-    """Which matrices of a stack of costs (T, m, k) one start plan is optimal
-    for, with the plan's cost under each and the potentials that certify it.
-    The potentials are shortest paths on the plan's residual graph (i -> j
-    at c_ij on every cell, j -> i at -c_ij where flow is positive), by
-    Bellman-Ford rounds that relax all edges at once until every reduced
-    cost passes the simplex's stopping test; a matrix that m + k rounds do
-    not settle has a negative cycle.  A matrix keeps the potentials of the
-    round that settled it.  A non-finite cost is a ValueError."""
+def _certify_identity(cost: np.ndarray, w: np.ndarray):
+    """Which matrices of a stack of costs (T, m, m) the identity plan diag(w)
+    is optimal for, with the plan's cost under each: diag(w) couples any two
+    measures whose atom i weighs w_i on both sides.  Potentials are shortest
+    paths on the plan's residual graph (i -> j at c_ij on every cell, and
+    i -> i back at -c_ii where w_i > 0), by Bellman-Ford rounds that relax
+    all edges at once until every reduced cost passes the simplex's stopping
+    test; a matrix that 2m rounds do not settle has a negative cycle.  A
+    non-finite cost is a ValueError."""
     cost = _as_float_array(cost, "transport cost")
-    flows = np.array(start, dtype=float)
-    if flows.shape != cost.shape[1:]:
-        raise DimensionMismatch("start plan shape disagrees with the marginals")
-    if not (flows.min() >= 0.0
-            and np.abs(flows.sum(axis=1) - supply).max() <= MARGINAL_TOL
-            and np.abs(flows.sum(axis=0) - demand).max() <= MARGINAL_TOL):
-        raise MarginalMismatch("start plan is infeasible for the marginals")
-    stack, m, k = cost.shape
+    stack, m, _ = cost.shape
     scale = _price_scale(cost)
-    positive = flows > 0.0
-    back = np.where(positive, -cost, np.inf)
+    positive = w > 0.0
+    back = np.where(positive, -np.diagonal(cost, axis1=1, axis2=2), np.inf)
     # A matrix settles when its reduced costs are >= lower, and <= upper:
-    # the simplex's slack, on the cells with flow.
+    # the simplex's slack, on the diagonal cells with flow.
     lower = -scale
-    upper = np.where(positive, scale[:, None, None], np.inf)
+    upper = np.where(positive, scale[:, None], np.inf)
     certified = np.zeros(stack, dtype=bool)
-    rows, cols = np.zeros((stack, m)), np.zeros((stack, k))
-    # The matrices not yet settled, with their potentials as (m, 1) and
-    # (1, k) columns and rows.
+    # The matrices not yet settled, with their row and column potentials.
     left = np.arange(stack)
-    row, col = np.zeros((stack, m, 1)), np.zeros((stack, 1, k))
+    row, col = np.zeros((stack, m)), np.zeros((stack, m))
     c = cost
-    for _ in range(m + k):
-        row = np.minimum(row, (col + back).min(axis=2, keepdims=True))
-        reduced = c + row - col
+    for _ in range(2 * m):
+        row = np.minimum(row, col + back)
+        reduced = c + row[:, :, None] - col[:, None, :]
         settled = reduced.min(axis=(1, 2)) >= lower
         if np.count_nonzero(settled):   # the cheaper test first
-            settled &= (reduced <= upper).all(axis=(1, 2))
+            settled &= (np.diagonal(reduced, axis1=1, axis2=2)
+                        <= upper).all(axis=1)
         count = np.count_nonzero(settled)
         if count:
-            done = left[settled]
-            certified[done] = True
-            rows[done], cols[done] = row[settled, :, 0], col[settled, 0, :]
+            certified[left[settled]] = True
             if count == settled.size:
                 break
             keep = ~settled
             left, row, col = left[keep], row[keep], col[keep]
             c, back, lower, upper = c[keep], back[keep], lower[keep], upper[keep]
-        col = np.minimum(col, (row + c).min(axis=1, keepdims=True))
-    primal = (flows * cost).reshape(stack, -1).sum(axis=1)
-    return certified, primal, rows, cols
+        col = np.minimum(col, (row[:, :, None] + c).min(axis=1))
+    primal = (np.diag(w) * cost).reshape(stack, -1).sum(axis=1)
+    return certified, primal
 
 
-def solve_transport(cost: np.ndarray, supply: np.ndarray, demand: np.ndarray,
-                    *, start=None):
+def solve_transport(cost: np.ndarray, supply: np.ndarray, demand: np.ndarray):
     """Minimize sum c_ij x_ij over the transportation polytope.
 
-    A start plan that shortest-path potentials certify optimal is returned.
-    Otherwise the simplex starts from the least-cost basis, which fills the
-    cells in ascending cost.  The entering cell has the most negative
-    reduced cost (Dantzig's rule); after DEGENERATE_RUN consecutive
-    degenerate pivots it is the least-index improving cell (Bland's rule)
-    until flow moves again.  The leaving cell
-    is the least-index blocking cell of the entering cycle.  The basis tree
-    keeps its adjacency, parent links and depths across pivots; a pivot
-    re-hangs only the subtree that the leaving cell cuts off, under the
-    entering cell, and re-prices that subtree's potentials.  Optimality is
-    certified by one fresh walk of the final tree, whose potentials price
-    every cell again and give the dual gap.  Returns the optimal flows and
-    a duality certificate.  A cost with a non-finite entry, such as a
-    squared distance that overflowed, is a ValueError.
+    The simplex starts from the least-cost basis, which fills the cells in
+    ascending cost.  The entering cell has the most negative reduced cost
+    (Dantzig's rule); after DEGENERATE_RUN consecutive degenerate pivots it
+    is the least-index improving cell (Bland's rule) until flow moves again.
+    The leaving cell is the least-index blocking cell of the entering cycle.
+    The basis tree keeps its adjacency, parent links and depths across
+    pivots; a pivot re-hangs only the subtree that the leaving cell cuts
+    off, under the entering cell, and re-prices that subtree's potentials.
+    Optimality is certified by one fresh walk of the final tree, whose
+    potentials price every cell again and give the dual gap.  Returns the
+    optimal flows and a duality certificate.  A cost with a non-finite
+    entry, such as a squared distance that overflowed, or a negative or
+    non-finite supply or demand, is a ValueError.
     """
     cost = _as_float_array(cost, "transport cost")
-    supply = np.asarray(supply, dtype=float).copy()
-    demand = np.asarray(demand, dtype=float).copy()
+    supply = _as_float_array(supply, "supply")
+    demand = _as_float_array(demand, "demand")
     m, k = cost.shape
-    if supply.shape[0] != m or demand.shape[0] != k:
+    if supply.shape != (m,) or demand.shape != (k,):
         raise DimensionMismatch("cost matrix shape disagrees with marginals")
+    if supply.min(initial=0.0) < 0.0 or demand.min(initial=0.0) < 0.0:
+        raise ValueError("supply and demand must be nonnegative")
     if abs(float(np.sum(supply) - np.sum(demand))) > MARGINAL_TOL:
         raise MarginalMismatch("total supply and demand differ")
-    if start is not None:
-        certified, primal, row, col = _certify_start(cost[None], supply,
-                                                     demand, start)
-        if certified[0]:
-            primal = float(primal[0])
-            dual = float(col[0] @ demand - row[0] @ supply)
-            return (np.array(start, dtype=float),
-                    TransportCertificate(primal, abs(primal - dual), 0))
     scale = float(_price_scale(cost))
 
     flows, in_basis = _least_cost_basis(cost, supply, demand)
@@ -401,21 +382,21 @@ def _root_cost(total):
     return np.sqrt(np.where(total > 0.0, total, 0.0))
 
 
-def _w2_of_cost(cost: np.ndarray, wx: np.ndarray, wy: np.ndarray, *,
-                start=None) -> tuple[float, np.ndarray, TransportCertificate]:
+def _w2_of_cost(cost: np.ndarray, wx: np.ndarray, wy: np.ndarray
+                ) -> tuple[float, np.ndarray, TransportCertificate]:
     """Exact 2-Wasserstein distance with the optimal flows, between measures
     of weights wx and wy whose squared distances are `cost`."""
-    flows, cert = solve_transport(cost, wx, wy, start=start)
+    flows, cert = solve_transport(cost, wx, wy)
     return float(_root_cost(cert.cost)), flows, cert
 
 
-def _solve_w2(x: np.ndarray, wx: np.ndarray, y: np.ndarray, wy: np.ndarray,
-              *, start=None) -> tuple[float, np.ndarray, TransportCertificate]:
+def _solve_w2(x: np.ndarray, wx: np.ndarray, y: np.ndarray, wy: np.ndarray
+              ) -> tuple[float, np.ndarray, TransportCertificate]:
     """Exact 2-Wasserstein distance with the optimal flows between the atoms
     x (weights wx) and y (weights wy) of two measures."""
     if x.shape[1] != y.shape[1]:
         raise DimensionMismatch("measures live in different ambient spaces")
-    return _w2_of_cost(_squared_distances(x, y), wx, wy, start=start)
+    return _w2_of_cost(_squared_distances(x, y), wx, wy)
 
 
 def exact_w2(mu: DiscreteMeasure, nu: DiscreteMeasure

@@ -364,18 +364,14 @@ class TestInteriorityExperiment:
 
 
 def refusing_certification(monkeypatch):
-    """Make every start certification refuse every matrix of its stack, the
-    chunk's first probes and each later probe's alike."""
-    from obliqueframes import transport
-
-    certify = transport._certify_start
+    """Make the identity kernel refuse every matrix of its stack."""
+    certify = approx_mod._certify_identity
 
     def refusing(*args):
-        certified, *rest = certify(*args)
-        return (np.zeros_like(certified), *rest)
+        certified, primal = certify(*args)
+        return np.zeros_like(certified), primal
 
-    monkeypatch.setattr(approx_mod, "_certify_start", refusing)
-    monkeypatch.setattr(transport, "_certify_start", refusing)
+    monkeypatch.setattr(approx_mod, "_certify_identity", refusing)
 
 
 class TestCertifiedStart:
@@ -383,10 +379,9 @@ class TestCertifiedStart:
     @pytest.mark.parametrize("eps", [0.01, 0.1, 0.5, 1.0, 2.0])
     def test_identity_start_leaves_the_trials_unchanged(self, monkeypatch,
                                                         atoms, eps):
-        # The chunk's first probes are certified in one stacked call, and
-        # every later probe passes the identity plan as its start.  A
-        # certified start must give what the simplex gives: with every
-        # certification refused, every probe runs the simplex, and the
+        # The chunk's first probes are certified in one stacked call.  A
+        # certified diag(w) must give what the simplex gives: with every
+        # certification refused, every first probe runs the simplex, and the
         # trials must come out the same.
         from obliqueframes import transport
 
@@ -396,8 +391,8 @@ class TestCertifiedStart:
         solve = transport.solve_transport
         pivots = []
 
-        def recording(cost, supply, demand, *, start=None):
-            flows, cert = solve(cost, supply, demand, start=start)
+        def recording(cost, supply, demand):
+            flows, cert = solve(cost, supply, demand)
             pivots.append(cert.iterations)
             return flows, cert
 
@@ -432,14 +427,14 @@ class TestCertifiedStart:
         dual = approx_mod._ExactDual.certify(mu, nu, gamma, DEFAULT_TOL)
         radius = np.sqrt(dual.a_max) * 0.1
         stacks, solves = [], []
-        certify = approx_mod._certify_start
+        certify = approx_mod._certify_identity
 
         def certifying(*args):
             result = certify(*args)
             stacks.append((result[0], np.sqrt(result[1])))
             return result
 
-        monkeypatch.setattr(approx_mod, "_certify_start", certifying)
+        monkeypatch.setattr(approx_mod, "_certify_identity", certifying)
         monkeypatch.setattr(transport, "solve_transport",
                             lambda *args, **kwargs: solves.append(args))
         # 50 trials of 3 atoms in R^2: one chunk, or four of at most 16.
@@ -458,37 +453,40 @@ class TestCertifiedStart:
 
     def test_a_refused_first_probe_is_certified_once(self, monkeypatch):
         # At eps = 2.0 on 12 seeded atoms some first probes are refused.
-        # Each such trial resumes the bisection from that probe: its W2
-        # solve runs the simplex with no start plan to certify again, and
-        # every later probe passes diag(w) as its start.
+        # The chunk's one stacked call is the only certification: each
+        # refused trial solves its first probe by the simplex once, and
+        # resumes the bisection from it, each later probe a simplex solve.
         from obliqueframes import transport
 
         rng = np.random.default_rng([12, 17])
         W, V = random_admissible_pair(rng, 3, 2)
         mu = random_measure_on(rng, W, 12)
-        stacks, starts = [], []
-        certify = approx_mod._certify_start
-        solve = transport.solve_transport
+        calls = []
 
-        def certifying(*args):
-            result = certify(*args)
-            stacks.append(result[0])
-            return result
+        def counting(module, name):
+            real = getattr(module, name)
 
-        def solving(cost, supply, demand, *, start=None):
-            starts.append(start is None)
-            return solve(cost, supply, demand, start=start)
+            def wrapper(*args):
+                result = real(*args)
+                calls.append((module.__name__, name, result))
+                return result
 
-        monkeypatch.setattr(approx_mod, "_certify_start", certifying)
-        monkeypatch.setattr(transport, "solve_transport", solving)
+            monkeypatch.setattr(module, name, wrapper)
+
+        for module in (approx_mod, transport):
+            counting(module, "_certify_identity")
+            counting(module, "_w2_of_cost")
         summary = interiority_experiment(mu, W, V, eps=2.0, trials=8,
                                          rng_seed=5)
         assert summary.failures == 0
-        [certified] = stacks
+        [(certified, _)] = [r for _, name, r in calls
+                            if name == "_certify_identity"]
         assert certified.size == 8
         refused = int(np.sum(~certified))
         assert 0 < refused < 8
-        assert sum(starts) == refused
+        solves = [module for module, name, _ in calls if name == "_w2_of_cost"]
+        assert solves.count(approx_mod.__name__) == refused
+        assert solves.count(transport.__name__) > 0
 
 
 def chunk_case(case):

@@ -867,7 +867,7 @@ class TestWorkDoneOnce:
         from obliqueframes import approx
 
         certified, framed, solves = [], [], []
-        certify, frame_spectrum = approx._certify_start, approx._frame_spectrum
+        certify, frame_spectrum = approx._certify_identity, approx._frame_spectrum
 
         def certifying(cost, *args):
             certified.append(len(cost))
@@ -877,7 +877,7 @@ class TestWorkDoneOnce:
             framed.append(points.shape)
             return frame_spectrum(weights, points, W, tol)
 
-        monkeypatch.setattr(approx, "_certify_start", certifying)
+        monkeypatch.setattr(approx, "_certify_identity", certifying)
         monkeypatch.setattr(approx, "_frame_spectrum", framing)
         monkeypatch.setattr(transport, "solve_transport",
                             lambda *args, **kwargs: solves.append(args))

@@ -27,7 +27,7 @@ from obliqueframes import (
 )
 from obliqueframes import transport
 from obliqueframes.gallery import skew_line_measures
-from obliqueframes.measures import MARGINAL_TOL, POSITION_TOL, is_marginal
+from obliqueframes.measures import POSITION_TOL, is_marginal
 
 
 def sorted_quantile_w2_1d(x, wx, y, wy):
@@ -107,41 +107,33 @@ def random_instance(m, dim):
     return cost, supply / supply.sum(), demand / demand.sum()
 
 
-def jitter_instance(m, eps, seed, dim=3):
-    """Seeded W2 problem between a random m-atom measure and its jitter,
-    sized as the interiority sampler's first probe: the identity plan costs
-    eps^2 times the measure's lower frame bound.  Returns the cost matrix
-    and the common weights."""
+def jitter_family(m, seed, dim=3):
+    """A seeded random m-atom measure and a jitter direction per atom: its
+    atoms x, weights w, directions d, and the unit scale s0 at which the
+    identity plan costs the measure's lower frame bound."""
     rng = np.random.default_rng([m, seed])
     x = rng.standard_normal((m, dim))
     w = 0.2 + rng.random(m)
     w /= w.sum()
     d = rng.standard_normal((m, dim))
     lower = np.linalg.eigvalsh((w[:, None] * x).T @ x)[0]
-    scale = eps * np.sqrt(lower / np.sum(w * np.einsum("ki,ki->k", d, d)))
-    return squared_distances(x, x + scale * d), w
+    return x, w, d, np.sqrt(lower / np.sum(w * np.einsum("ki,ki->k", d, d)))
 
 
-def solve_both(cost, w):
-    """The simplex from its least-cost start, and from the identity start."""
-    return (solve_transport(cost, w, w),
-            solve_transport(cost, w, w, start=np.diag(w)))
+def jitter_instance(m, eps, seed, dim=3):
+    """Seeded W2 problem between a random m-atom measure and its jitter,
+    sized as the interiority sampler's first probe: the identity plan costs
+    eps^2 times the measure's lower frame bound.  Returns the cost matrix
+    and the common weights."""
+    x, w, d, unit = jitter_family(m, seed, dim)
+    return squared_distances(x, x + eps * unit * d), w
 
 
-def record_refusals(monkeypatch):
-    """A list that gains, at each start plan the solver is given, whether
-    the start's certificate turned it down.  The solver certifies its one
-    cost matrix as a stack of one."""
-    refused = []
-    certify = transport._certify_start
-
-    def recording(*args):
-        result = certify(*args)
-        refused.append(not result[0][0])
-        return result
-
-    monkeypatch.setattr(transport, "_certify_start", recording)
-    return refused
+def certify_identity(cost, w):
+    """The identity kernel's decision on one cost matrix, and diag(w)'s cost
+    under it, from a stack of one."""
+    certified, primal = transport._certify_identity(cost[None], w)
+    return bool(certified[0]), float(primal[0])
 
 
 class BlandCounter:
@@ -322,9 +314,27 @@ class TestExactW2:
         # and dual gap, and the interiority sampler hit a lost basis tree.
         cost = np.array([[0.0, bad], [bad, 0.0]])
         w = np.array([0.5, 0.5])
-        for start in (None, np.diag(w)):
-            with pytest.raises(ValueError, match="non-finite"):
-                solve_transport(cost, w, w, start=start)
+        with pytest.raises(ValueError, match="non-finite"):
+            solve_transport(cost, w, w)
+        with pytest.raises(ValueError, match="non-finite"):
+            certify_identity(cost, w)
+
+    @pytest.mark.parametrize("supply, demand, match", [
+        ([np.nan, 1.0], [0.5, 0.5], "non-finite"),
+        ([0.5, 0.5], [np.inf, -np.inf], "non-finite"),
+        ([1.5, -0.5], [0.5, 0.5], "nonnegative"),
+        ([0.5, 0.5], [-0.5, 1.5], "nonnegative"),
+    ])
+    def test_invalid_marginals_are_rejected(self, supply, demand, match):
+        # Unchecked, a nan supply came back as a certificate with a nan
+        # cost, and a negative one as negative flows with dual gap 0.
+        with pytest.raises(ValueError, match=match):
+            solve_transport(np.ones((2, 2)), supply, demand)
+
+    def test_a_scalar_marginal_is_a_dimension_mismatch(self):
+        # It raised an IndexError.
+        with pytest.raises(DimensionMismatch, match="disagrees"):
+            solve_transport(np.ones((1, 1)), 1.0, [1.0])
 
     def test_exhausted_pivot_budget_is_nonconvergence(self, monkeypatch):
         # Duals that price every nonbasic cell negative keep it pivoting.
@@ -348,7 +358,7 @@ class TestExactW2:
 
 class TestTransportOracles:
     @staticmethod
-    def check_uniform_assignment(dim, seed, rounded, identity_start):
+    def uniform_assignment(dim, seed, rounded):
         # Integer-rounded points tie many costs, which drives the simplex
         # through degenerate pivots, and may make the identity plan optimal
         # alongside other permutations.
@@ -359,10 +369,13 @@ class TestTransportOracles:
         if rounded:
             x, y = np.round(x), np.round(y)
         cost = squared_distances(x, y)
-        uniform = np.full(m, 1.0 / m)
-        start = np.diag(uniform) if identity_start else None
-        flows, cert = solve_transport(cost, uniform, uniform, start=start)
-        want = brute_force_assignment_cost(cost)
+        return cost, np.full(m, 1.0 / m), brute_force_assignment_cost(cost)
+
+    @pytest.mark.parametrize("dim", [2, 3, 64])
+    @given(seed=st.integers(0, 10_000), rounded=st.booleans())
+    def test_uniform_assignments_match_brute_force(self, dim, seed, rounded):
+        cost, uniform, want = self.uniform_assignment(dim, seed, rounded)
+        flows, cert = solve_transport(cost, uniform, uniform)
         assert cert.cost == pytest.approx(want, rel=1e-12, abs=1e-12)
         assert cert.dual_gap <= 1e-9 * (1.0 + want)
         assert np.all(flows >= 0.0)
@@ -371,14 +384,16 @@ class TestTransportOracles:
 
     @pytest.mark.parametrize("dim", [2, 3, 64])
     @given(seed=st.integers(0, 10_000), rounded=st.booleans())
-    def test_uniform_assignments_match_brute_force(self, dim, seed, rounded):
-        self.check_uniform_assignment(dim, seed, rounded, False)
-
-    @pytest.mark.parametrize("dim", [2, 3, 64])
-    @given(seed=st.integers(0, 10_000), rounded=st.booleans())
     def test_identity_start_assignments_match_brute_force(self, dim, seed,
                                                           rounded):
-        self.check_uniform_assignment(dim, seed, rounded, True)
+        # The identity kernel certifies diag(w) exactly when no permutation
+        # is cheaper.
+        cost, uniform, want = self.uniform_assignment(dim, seed, rounded)
+        certified, primal = certify_identity(cost, uniform)
+        if certified:
+            assert primal == pytest.approx(want, rel=1e-12, abs=1e-12)
+        else:
+            assert want < primal
 
     def test_bland_guard_matches_brute_force(self, monkeypatch):
         # A run length of 1 hands every pivot after a degenerate one to
@@ -467,51 +482,43 @@ class TestLeastCostStart:
 
 
 class TestCertifiedStart:
+    """The identity kernel: diag(w) between a measure and its jitters."""
+
     SEEDS = range(10)
 
     @pytest.mark.parametrize("m", [12, 50])
     @pytest.mark.parametrize("eps", [0.01, 0.1, 0.5])
-    def test_certified_jitters_equal_the_simplex(self, monkeypatch, m, eps):
-        refused = record_refusals(monkeypatch)
+    def test_certified_jitters_equal_the_simplex(self, m, eps):
         certified = 0
         for seed in self.SEEDS:
             cost, w = jitter_instance(m, eps, seed)
-            (flows, cert), (got, got_cert) = solve_both(cost, w)
-            assert np.array_equal(got, flows)
-            assert got_cert.cost == cert.cost
-            if not refused[-1]:
-                assert got_cert.iterations == 0
+            flows, cert = solve_transport(cost, w, w)
+            ok, primal = certify_identity(cost, w)
+            if ok:
                 certified += 1
-                assert got_cert.dual_gap <= 1e-12 * (1.0 + got_cert.cost)
+                assert primal == cert.cost
+                assert np.array_equal(flows, np.diag(w))
             else:
-                assert got_cert.iterations == cert.iterations
+                assert cert.cost < primal
         if eps <= 0.1:
             assert certified == len(self.SEEDS)
 
     @pytest.mark.parametrize("m", [12, 50])
     @pytest.mark.parametrize("eps", [1.0, 2.0])
-    def test_fallback_is_the_simplex(self, monkeypatch, m, eps):
-        # A refused start hands the problem to the simplex, which may find
-        # its least-cost start optimal and pivot 0 times.
-        refused = record_refusals(monkeypatch)
+    def test_fallback_is_the_simplex(self, m, eps):
+        # A trial whose diag(w) is refused falls back to the simplex, which
+        # must then find a cheaper plan: the refusal is never spurious.
         fallbacks = 0
         for seed in self.SEEDS:
             cost, w = jitter_instance(m, eps, seed)
-            (flows, cert), (got, got_cert) = solve_both(cost, w)
-            assert got_cert.cost == cert.cost
-            if refused[-1]:
-                fallbacks += 1
-                assert got_cert == cert
-                assert np.array_equal(got, flows)
+            flows, cert = solve_transport(cost, w, w)
+            ok, primal = certify_identity(cost, w)
+            if ok:
+                assert primal == cert.cost
             else:
-                # A certified start is returned as it is.  The simplex reaches
-                # that plan by flow updates, which can round a weight by an
-                # ulp, so its flows are held to the plan's support and to the
-                # marginals.
-                assert np.array_equal(got, np.diag(w))
-                assert np.array_equal(flows > 0.0, got > 0.0)
-                assert np.abs(flows.sum(axis=1) - w).max() <= MARGINAL_TOL
-                assert np.abs(flows.sum(axis=0) - w).max() <= MARGINAL_TOL
+                fallbacks += 1
+                assert cert.cost < primal
+                assert not np.array_equal(flows > 0.0, np.diag(w) > 0.0)
         assert fallbacks > 0
 
     @pytest.mark.parametrize("m", [12, 50])
@@ -520,53 +527,47 @@ class TestCertifiedStart:
         pytest.importorskip("scipy")
         for seed in range(3):
             cost, w = jitter_instance(m, eps, seed)
-            _, cert = solve_transport(cost, w, w, start=np.diag(w))
+            certified, primal = certify_identity(cost, w)
             want = highs_transport_cost(cost, w, w)
-            assert cert.cost == pytest.approx(want, rel=1e-9, abs=1e-15)
-            assert cert.dual_gap <= 1e-9 * (1.0 + want)
+            if certified:
+                assert primal == pytest.approx(want, rel=1e-9, abs=1e-15)
+            else:
+                assert want < primal * (1.0 - 1e-9)
 
-    def test_zero_weight_atoms(self, monkeypatch):
-        refused = record_refusals(monkeypatch)
+    def test_zero_weight_atoms(self):
         x = np.array([[0.0], [1.0], [5.0], [9.0]])
         w = np.array([0.5, 0.0, 0.5, 0.0])
         cost = squared_distances(x, x + 0.01)
-        (flows, cert), (got, got_cert) = solve_both(cost, w)
-        assert refused == [False]
-        assert got_cert.iterations == 0
-        assert np.array_equal(got, np.diag(w))
-        assert got_cert.cost == pytest.approx(cert.cost, abs=1e-15)
-        assert got_cert.dual_gap <= 1e-12
+        _, cert = solve_transport(cost, w, w)
+        certified, primal = certify_identity(cost, w)
+        assert certified
+        assert primal == pytest.approx(cert.cost, abs=1e-15)
 
-    def test_suboptimal_start_falls_back(self, monkeypatch):
+    def test_suboptimal_start_falls_back(self):
         # Swapping the two atoms makes the identity plan the worst one.  The
-        # least-cost start is then the optimal anti-diagonal.
-        refused = record_refusals(monkeypatch)
+        # simplex's least-cost start is then the optimal anti-diagonal.
         x = np.array([[0.0], [1.0]])
         w = np.array([0.5, 0.5])
         cost = squared_distances(x, x[::-1])
-        flows, cert = solve_transport(cost, w, w, start=np.diag(w))
-        assert refused == [True]
+        assert certify_identity(cost, w) == (False, 1.0)
+        flows, cert = solve_transport(cost, w, w)
         assert cert.cost == 0.0
         assert np.array_equal(flows, np.fliplr(np.diag(w)))
 
-    def test_start_is_copied(self):
-        cost, w = jitter_instance(12, 0.01, 0)
-        start = np.diag(w)
-        flows, cert = solve_transport(cost, w, w, start=start)
-        assert cert.iterations == 0
-        flows[0, 0] = 7.0
-        assert np.array_equal(start, np.diag(w))
-
-    @pytest.mark.parametrize("start, error", [
-        (np.full((2, 3), 1.0 / 6.0), DimensionMismatch),
-        (np.array([[0.6, -0.1], [-0.1, 0.6]]), MarginalMismatch),
-        (np.array([[0.5, 0.0], [0.0, 0.4]]), MarginalMismatch),
-        (np.array([[np.nan, 0.0], [0.0, 0.5]]), MarginalMismatch),
-    ])
-    def test_infeasible_starts_raise(self, start, error):
-        w = np.array([0.5, 0.5])
-        with pytest.raises(error):
-            solve_transport(np.ones((2, 2)), w, w, start=start)
+    @pytest.mark.parametrize("m", [12, 50])
+    @given(seed=st.integers(0, 10_000))
+    def test_identity_is_certified_up_to_a_scale(self, m, seed):
+        # Each cycle's cost is affine in the jitter scale s, since the s^2
+        # terms of a permutation cancel, so diag(w) is optimal exactly on
+        # an interval [0, s*]: along a grid of scales the kernel certifies a
+        # prefix and refuses the rest.
+        x, w, d, unit = jitter_family(m, seed)
+        scales = unit * np.concatenate([[0.0], np.geomspace(0.01, 100.0, 40)])
+        certified, _ = transport._certify_identity(
+            np.array([squared_distances(x, x + s * d) for s in scales]), w)
+        refused = np.flatnonzero(~certified)
+        assert 0 < refused[0]
+        assert np.array_equal(refused, np.arange(refused[0], scales.size))
 
 
 class TestStackedKernels:
@@ -586,16 +587,15 @@ class TestStackedKernels:
     @pytest.mark.parametrize("eps", [0.1, 1.0, 2.0])
     def test_a_stack_certifies_each_matrix_as_alone(self, eps):
         # The jitters of one measure settle in different rounds, or not at
-        # all; each keeps the decision, cost and potentials it gets alone.
+        # all; each keeps the decision and cost it gets alone.
         rng = np.random.default_rng([12, 8])
         x = rng.standard_normal((12, 3))
         w = 0.2 + rng.random(12)
         w /= w.sum()
         costs = np.array([squared_distances(x, x + eps * 0.1 * (t + 1) * d)
                           for t, d in enumerate(rng.standard_normal((6, 12, 3)))])
-        stacked = transport._certify_start(costs, w, w, np.diag(w))
-        alone = [transport._certify_start(c[None], w, w, np.diag(w))
-                 for c in costs]
+        stacked = transport._certify_identity(costs, w)
+        alone = [transport._certify_identity(c[None], w) for c in costs]
         for got, want in zip(stacked, zip(*alone)):
             assert np.array_equal(got, np.concatenate(want))
         if eps == 1.0:
