@@ -161,6 +161,10 @@ class _FamilyGeometry:
             Q=np.eye(len(F)) - gram,
         )
 
+    def image(self, X: np.ndarray) -> np.ndarray:
+        """P X Q: the mixed Gram's change when the coefficients move by X."""
+        return self.P @ (X @ self.Q)
+
     def pair(self, Ht: np.ndarray, tol: Tolerance) -> ObliqueDualPair:
         """The dual generated by the family with columns Ht."""
         return _dual_pair(self.frame, (self.canonical + Ht @ self.Q).T,

@@ -47,6 +47,9 @@ def _emit(obj, indent: int) -> str:
     if isinstance(obj, str):
         return json.dumps(obj)
     if isinstance(obj, np.ndarray):
+        if obj.ndim == 2 and obj.size and obj.dtype.kind == "f":
+            row = pad + "  [" + ", ".join(["%.17g"] * obj.shape[1]) + "]"
+            return "[\n" + _printf_rows(row, obj) + "\n" + pad + "]"
         return _emit(obj.tolist(), indent)
     if isinstance(obj, (list, tuple)):
         # One pass for a row of finite floats; _format_float refuses the rest.
@@ -82,20 +85,25 @@ _RECORDS = {Coupling: ("pairs", ("x", "y")),
             TriCoupling: ("triples", ("x", "y", "z"))}
 
 
+def _printf_rows(template: str, table: np.ndarray) -> str:
+    """The rows of a 2-D float table, each formatted from one %.17g template
+    and joined by ",\n"; finiteness is checked once for the whole table."""
+    if not np.isfinite(table).all():
+        raise ValueError("cannot serialize non-finite numbers")
+    return ",\n".join([template % tuple(r) for r in table.tolist()])
+
+
 def _emit_records(obj, indent: int) -> str:
     """obj in the record schema above, laid out as _emit lays out that dict
-    of nested lists; finiteness is checked once, and each record is
-    formatted from one template."""
+    of nested lists, each record formatted from one template."""
     key, fields = _RECORDS[type(obj)]
     blocks = [getattr(obj, f) for f in fields]
     table = np.column_stack([*blocks, obj.weights])
-    if not np.isfinite(table).all():
-        raise ValueError("cannot serialize non-finite numbers")
     pad, outer, inner = ("  " * (indent + i) for i in (0, 2, 3))
     rows = ["[" + ", ".join(["%.17g"] * b.shape[1]) + "]" for b in blocks]
     template = (outer + "[\n" + inner + (",\n" + inner).join(rows + ["%.17g"])
                 + "\n" + outer + "]")
-    records = ",\n".join([template % tuple(r) for r in table.tolist()])
+    records = _printf_rows(template, table)
     body = "[\n" + records + "\n" + pad + "  ]" if records else "[]"
     return "{\n" + pad + f'  "{key}": ' + body + "\n" + pad + "}"
 
@@ -171,7 +179,7 @@ def _matrix(value, field: str) -> np.ndarray:
 
 
 def subspace_to_obj(s: Subspace) -> dict:
-    return {"ambient_dim": s.ambient_dim, "basis": s.basis.tolist()}
+    return {"ambient_dim": s.ambient_dim, "basis": s.basis}
 
 
 def subspace_from_obj(obj) -> Subspace:
@@ -186,8 +194,8 @@ def subspace_from_obj(obj) -> Subspace:
 def frame_to_obj(f: FiniteFrame) -> dict:
     return {
         "ambient_dim": f.subspace.ambient_dim,
-        "subspace_basis": f.subspace.basis.tolist(),
-        "vectors": f.vectors.tolist(),
+        "subspace_basis": f.subspace.basis,
+        "vectors": f.vectors,
     }
 
 
@@ -222,7 +230,7 @@ def pair_from_obj(obj, tol: Tolerance = DEFAULT_TOL) -> ObliqueDualPair:
 def measure_to_obj(mu: DiscreteMeasure) -> dict:
     return {
         "ambient_dim": mu.ambient_dim,
-        "points": mu.points.tolist(),
+        "points": mu.points,
         "weights": mu.weights.tolist(),
     }
 

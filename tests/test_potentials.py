@@ -317,6 +317,32 @@ class TestGradientAndMinimization:
         _, traj = minimize_dual_potential(F, V, 4.0)
         assert all(b <= a + 1e-12 for a, b in zip(traj, traj[1:]))
 
+    @pytest.fixture(scope="class")
+    def envelope(self):
+        """200 vectors on a 32-dimensional W of R^64, V at cosine 0.7."""
+        rng = np.random.default_rng(2026)
+        W, V = random_admissible_pair(rng, 64, 32, 0.7)
+        return random_frame(rng, W, 200), V
+
+    def test_every_envelope_start_converges(self, envelope):
+        F, V = envelope
+        for seed in range(20):
+            _, traj = minimize_dual_potential(F, V,
+                                              opts=OptimizerOptions(seed=seed))
+            assert all(b <= a for a, b in zip(traj, traj[1:]))
+            assert abs(traj[-1] - 32.0) <= 1e-9
+
+    @pytest.mark.parametrize("p", [2.0, 4.0])
+    @pytest.mark.parametrize("case", ["envelope", "mercedes_benz"])
+    def test_the_carried_gram_does_not_drift(self, envelope, case, p):
+        # The trajectory is scored on the carried Gram, the pair built from
+        # the coefficients; the two must agree at the end.
+        F, V = envelope if case == "envelope" else (mercedes_benz_frame(),
+                                                     full_space(2))
+        pair, traj = minimize_dual_potential(F, V, p)
+        assert traj[-1] == pytest.approx(dual_p_potential(pair, p).value,
+                                         rel=1e-12, abs=0)
+
     def test_iteration_cap_raises(self):
         rng = np.random.default_rng(5)
         W, V = random_admissible_pair(rng, 3, 2)

@@ -8,6 +8,7 @@ import sys
 import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
+from hypothesis.extra import numpy as hnp
 
 import obliqueframes
 from obliqueframes import ParseError, transport
@@ -17,6 +18,7 @@ from obliqueframes.cli import main
 from obliqueframes.measures import MeasureFrameReport
 from obliqueframes.potentials import PotentialReport
 from obliqueframes.serialize import (
+    _emit,
     _format_float,
     dumps_canonical,
     measure_from_obj,
@@ -174,6 +176,35 @@ class TestLeafRows:
         assert run_cli("etf-lift", fixture("mercedes_benz_frame.json")) == 2
         assert capsys.readouterr() == (
             "", "error: cannot serialize non-finite numbers\n")
+
+
+class TestFloatBlocks:
+    """A 2-D float array is written from one row template; it must read
+    exactly as its nested lists would be written."""
+
+    @given(hnp.arrays(float, hnp.array_shapes(min_dims=2, max_dims=2,
+                                              min_side=0, max_side=6),
+                      elements=st.floats(allow_nan=False, allow_infinity=False)
+                      | st.sampled_from(EDGE_FLOATS)),
+           st.integers(0, 3))
+    @example(np.array([EDGE_FLOATS, EDGE_FLOATS[::-1]]), 1)
+    def test_a_float_block_is_written_as_its_lists(self, a, indent):
+        assert _emit(a, indent) == _emit(a.tolist(), indent)
+
+    @given(hnp.arrays(float, st.tuples(st.integers(1, 5), st.integers(1, 5)),
+                      elements=st.floats(-1e3, 1e3)),
+           st.sampled_from([np.nan, np.inf, -np.inf]), st.data())
+    def test_a_non_finite_block_is_refused(self, a, bad, data):
+        a[data.draw(st.integers(0, a.shape[0] - 1)),
+          data.draw(st.integers(0, a.shape[1] - 1))] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            _emit(a, 0)
+
+    @pytest.mark.parametrize("a", [np.arange(6).reshape(2, 3),
+                                   np.array([0.5, -0.0]),
+                                   np.zeros((0, 2)), np.zeros((2, 0))])
+    def test_other_arrays_are_written_as_their_lists(self, a):
+        assert _emit(a, 1) == _emit(a.tolist(), 1)
 
 
 def coupling_schema(gamma):
@@ -999,6 +1030,31 @@ class TestOverflowingArguments:
         assert out == ""
         assert err.startswith("error: potential order p must lie in (0, 1024]")
         assert err.count("\n") == 1
+
+    # A frame on R^2 whose 1000th powers of mixed inner products overflow.
+    WIDE_FRAME = {"ambient_dim": 2, "subspace_basis": [[1, 0], [0, 1]],
+                  "vectors": [[10, 0], [0, 0.1], [1, 1], [3, -2]]}
+
+    def test_minimize_with_an_overflowing_start(self, tmp_path, capsys):
+        frame = write_json(tmp_path, "f.json", self.WIDE_FRAME)
+        assert run_cli("minimize", frame, fixture("plane.json"),
+                       "--p", "1000") == 2
+        assert capsys.readouterr() == (
+            "", "error: the order-1000 potential overflows a double\n")
+
+    # The suite turns a RuntimeWarning into an error, so these runs also
+    # check that no overflow warning escapes the descent.
+    @pytest.mark.parametrize("p,seed,code,err", [
+        ("16", "3", 0, ""),
+        ("300", "1", 4, "did not converge: line search stalled with "
+                        "gradient norm inf"),
+    ])
+    def test_minimize_fails_overflowing_trials(self, tmp_path, capsys,
+                                               p, seed, code, err):
+        frame = write_json(tmp_path, "f.json", self.WIDE_FRAME)
+        assert run_cli("minimize", frame, fixture("plane.json"),
+                       "--p", p, "--seed", seed) == code
+        assert capsys.readouterr().err.startswith(err)
 
     def test_interiority_with_overflowing_distances(self, capsys):
         assert run_cli("interiority", fixture("mercedes_benz_measure.json"),
