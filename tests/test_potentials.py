@@ -419,3 +419,6 @@ class TestPotentialOrderRange:
         for op in (dual_p_potential, diagonal_potential):
             with pytest.raises(ValueError, match="overflows a double"):
                 op(pair, 1000.0)
+        # The same family by its coefficients on V.
+        with pytest.raises(ValueError, match="overflows a double"):
+            potential_objective(F, full_space(1), [[5.0, -5.0]], 1000.0)
