@@ -9,7 +9,10 @@ with the perturbation coupling and projecting onto the outer coordinates.
 The exact dual is certified once per experiment; the perturbation trials
 then run, in stacked chunks, only the checks that depend on the perturbed
 measure, and glue over the dual measure by its atom index, where
-perturbation_certificate, given arbitrary couplings, matches atoms.
+perturbation_certificate, given arbitrary couplings, matches atoms.  A
+jitter's transport costs are affine in its scale s, built from the dual's
+squared distances once per experiment and one matrix product per trial
+(_Trials.costs), so every probe of a trial's bisection costs O(m^2).
 """
 from __future__ import annotations
 
@@ -45,6 +48,8 @@ from .measures import (
     MARGINAL_TOL,
     DiscreteMeasure,
     _frame_spectrum,
+    _moment_matrix,
+    _weighted_square_sum,
     linear_pushforward,
     measure_frame_operator,
     second_moment,
@@ -53,7 +58,6 @@ from .transport import (
     Coupling,
     _certify_identity,
     _root_cost,
-    _solve_w2,
     _squared_distances,
     _w2_of_cost,
     coupling_cost,
@@ -207,115 +211,115 @@ class InteriorityReport:
     records: tuple[InteriorityTrial, ...]
 
 
-# Trials per chunk are capped so that all the (trials, m, m, n) coordinate
-# differences of their first probes hold at most this many numbers: the
-# chunk's cost stack and points hold fewer, and the difference blocks of
-# transport._squared_distances are capped alike, so a chunk's memory stays
-# fixed however many trials run.  A trial whose differences alone exceed
-# it runs by itself.
+# Trials per chunk are capped so that the chunk's largest arrays, its
+# (trials, m, m) costs and (trials, m, n) points, hold at most CHUNK_CELLS
+# numbers, so a chunk's memory stays fixed however many trials run.  A trial
+# whose arrays alone exceed it runs by itself.
 CHUNK_CELLS = 1 << 16
-
-
-def _bisect(nu: DiscreteMeasure, directions: np.ndarray, radius: float,
-            hi: float, d_hi: float, f_hi: np.ndarray
-            ) -> tuple[float, np.ndarray]:
-    """The jitter scale and the transport-optimal plan from nu to its jitter
-    nu + scale * directions, from the first probe at scale hi, at distance
-    d_hi with plan f_hi.
-
-    Bisection on the scale drives the exact distance into [0.9, 1.0] *
-    radius so the certificate is exercised near its boundary.  Later probes
-    run the simplex without certifying diag(w): each cycle's cost is affine
-    in the scale, so diag(w) is optimal exactly on an interval [0, s*], and
-    after a refused first probe every later probe lies above it.
-    """
-    identity = np.diag(nu.weights)
-
-    def distance(s: float) -> tuple[float, np.ndarray]:
-        return _solve_w2(nu.points, nu.weights, nu.points + s * directions,
-                         nu.weights)[:2]
-
-    lo, f_lo = 0.0, identity   # scale 0 leaves nu in place
-    for _ in range(60):
-        if d_hi >= 0.9 * radius:
-            break
-        lo, f_lo, hi = hi, f_hi, 2.0 * hi
-        d_hi, f_hi = distance(hi)
-    for _ in range(80):
-        if 0.9 * radius <= d_hi <= radius:
-            break
-        mid = 0.5 * (lo + hi)
-        d_mid, f_mid = distance(mid)
-        if d_mid > radius:
-            hi, d_hi, f_hi = mid, d_mid, f_mid
-        else:
-            lo, f_lo = mid, f_mid
-            if d_mid >= 0.9 * radius:
-                hi, d_hi, f_hi = mid, d_mid, f_mid
-    return (hi, f_hi) if d_hi <= radius else (lo, f_lo)
 
 
 class _Trials:
     """What the trials of one interiority experiment share: mu, its
     canonical dual nu, whose atom k is the image of mu's atom k, the
-    certified exact dual, and the ball's radius sqrt(A) * eps.  (A plain
-    class: a dataclass would cost a millisecond at every import.)"""
+    certified exact dual, the radius sqrt(A) * eps and nu's squared distances
+    D.  (A plain class: a dataclass would cost a millisecond per import.)"""
 
     def __init__(self, mu: DiscreteMeasure, nu: DiscreteMeasure, V: Subspace,
                  dual: _ExactDual, eps: float, tol: Tolerance):
         self.mu, self.nu, self.V, self.dual = mu, nu, V, dual
         self.eps, self.tol = eps, tol
         self.radius = float(np.sqrt(dual.a_max) * eps)
+        self.dist = _squared_distances(nu.points, nu.points)
+
+    def jitter(self, directions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """G_ij = <x_i - x_j, d_j>, as x d^T minus its own diagonal, and
+        e_j = ||d_j||^2, for nu's atoms x and directions d (..., m, n)."""
+        g = self.nu.points @ np.swapaxes(directions, -1, -2)
+        return (g - np.diagonal(g, axis1=-2, axis2=-1)[..., None, :],
+                np.einsum("...ki,...ki->...k", directions, directions))
+
+    def costs(self, g: np.ndarray, e: np.ndarray, s) -> np.ndarray:
+        """The costs ||x_i - x_j - s d_j||^2 from nu's atoms x to the jitter
+        x + s d at scales s (..., 1, 1), as D - 2s G + s^2 e with D =
+        self.dist: the diagonal is s^2 e_i exactly.  An overflow is left to
+        the certifier and the simplex, which refuse non-finite costs."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            return self.dist - 2.0 * s * g + s * s * e[..., None, :]
+
+    def bisect(self, g: np.ndarray, e: np.ndarray, hi: float, d_hi: float,
+               f_hi: np.ndarray) -> tuple[float, np.ndarray]:
+        """The scale and optimal plan of one trial's jitter (G and e of
+        jitter), from the first probe at scale hi, distance d_hi, plan f_hi.
+        Bisection drives the distance into [0.9, 1.0] * radius.  Later
+        probes run the simplex without certifying diag(w): each cycle's cost
+        is affine in the scale, so diag(w) is optimal exactly on an interval
+        [0, s*], and after a refused first probe every later probe is above.
+        """
+        w, radius = self.nu.weights, self.radius
+
+        def distance(s: float) -> tuple[float, np.ndarray]:
+            return _w2_of_cost(self.costs(g, e, s), w, w)[:2]
+
+        lo, f_lo = 0.0, np.diag(w)   # scale 0 leaves nu in place
+        for _ in range(60):
+            if d_hi >= 0.9 * radius:
+                break
+            lo, f_lo, hi = hi, f_hi, 2.0 * hi
+            d_hi, f_hi = distance(hi)
+        for _ in range(80):
+            if 0.9 * radius <= d_hi <= radius:
+                break
+            mid = 0.5 * (lo + hi)
+            d_mid, f_mid = distance(mid)
+            if d_mid > radius:
+                hi, d_hi, f_hi = mid, d_mid, f_mid
+            else:
+                lo, f_lo = mid, f_mid
+                if d_mid >= 0.9 * radius:
+                    hi, d_hi, f_hi = mid, d_mid, f_mid
+        return (hi, f_hi) if d_hi <= radius else (lo, f_lo)
 
     def run(self, trials: range, rng_seed: int) -> list[InteriorityTrial]:
         """The records of a chunk of trials, trial t drawing its directions
         from its own stream, seed + t.
 
-        Each trial jitters nu's atoms inside V, with its first probe at a
-        scale where the identity plan diag(w) costs a few ulps under
-        radius^2.  The chunk's first-probe costs are certified in one
-        stacked call, the library's one certification of diag(w), and the
-        trials where diag(w) is optimal there, so that the probe lands inside
-        the ball, are judged as one stack.  Every other trial resumes the
-        bisection from its first probe, each later probe a simplex solve
-        (_bisect), and is judged as a stack of one.
+        Each trial jitters nu's atoms inside V, its first probe at a scale
+        where diag(w) costs a few ulps under radius^2 (0 at radius 0).  The
+        chunk's first-probe costs are certified in one stacked call, the
+        library's one certification of diag(w), and the trials where it is
+        optimal, inside the ball, are judged as one stack.  Every other
+        trial resumes the bisection from its first probe, and is judged
+        alone.
         """
-        nu, radius = self.nu, self.radius
-        w = nu.weights
+        x, w, radius = self.nu.points, self.nu.weights, self.radius
         identity = np.diag(w)
-        if radius <= 0:
-            # Scale 0 leaves nu in place, and draws nothing.
-            return self.judge(trials, np.broadcast_to(
-                nu.points, (len(trials), *nu.points.shape)), identity)
         proj = self.V.basis @ self.V.basis.T
         rngs = [np.random.default_rng(rng_seed + t) for t in trials]
-        directions = np.array([rng.standard_normal(nu.points.shape)
+        directions = np.array([rng.standard_normal(x.shape)
                                for rng in rngs]) @ proj
         for k in np.flatnonzero(np.abs(directions).max(axis=(1, 2)) == 0.0):
             while float(np.max(np.abs(directions[k]))) == 0.0:
-                directions[k] = rngs[k].standard_normal(nu.points.shape) @ proj
-        norm2 = np.sum(w * np.einsum("tki,tki->tk", directions, directions,
-                                     order="C"), axis=1)
-        # The graph coupling costs s^2 * sum w ||d||^2, so at the first
-        # probe the identity plan costs a few ulps under radius^2: when it is
-        # optimal, that probe lands inside the ball.
-        hi = radius / np.sqrt(norm2) * (1.0 - 64.0 * np.finfo(float).eps)
-        points = nu.points + hi[:, None, None] * directions
-        costs = _squared_distances(nu.points, points)
+                directions[k] = rngs[k].standard_normal(x.shape) @ proj
+        g, e = self.jitter(directions)
+        # diag(w) costs s^2 * sum w ||d||^2, so at the first probe it costs a
+        # few ulps under radius^2: when it is optimal, the probe is inside.
+        hi = radius / np.sqrt(_weighted_square_sum(w, directions)) \
+            * (1.0 - 64.0 * np.finfo(float).eps)
+        costs = self.costs(g, e, hi[:, None, None])
         certified, primal = _certify_identity(costs, w)
         d_hi = _root_cost(primal)
         inside = certified & (0.9 * radius <= d_hi) & (d_hi <= radius)
         records = []
         if inside.any():
             records = self.judge([trials[k] for k in np.flatnonzero(inside)],
-                                 points[inside], identity)
+                                 x + hi[inside, None, None]
+                                 * directions[inside], identity)
         for k in np.flatnonzero(~inside):
             first = ((d_hi[k], identity) if certified[k]
                      else _w2_of_cost(costs[k], w, w)[:2])
-            scale, flows = _bisect(nu, directions[k], radius, hi[k], *first)
-            records += self.judge([trials[k]], (nu.points
-                                                + scale * directions[k])[None],
-                                  flows)
+            scale, flows = self.bisect(g[k], e[k], hi[k], *first)
+            records += self.judge([trials[k]],
+                                  (x + scale * directions[k])[None], flows)
         return sorted(records, key=lambda r: r.trial)
 
     def judge(self, trials, points: np.ndarray,
@@ -334,13 +338,11 @@ class _Trials:
                 f"shared marginal masses differ by {net[bad[0]]:.3e}")
         ii, jj = np.nonzero(flows > 0)
         f = flows[ii, jj]
-        d = nu.points[ii] - points[:, jj]
-        # order="C": a Fortran-ordered result would be summed in another order.
-        lam = np.sum(f * np.einsum("tki,tki->tk", d, d, order="C"), axis=1)
+        lam = _weighted_square_sum(f, nu.points[ii] - points[:, jj])
         # glue's weight w_a * w_b / mass with mass = w_i, which can round
         # away from f: so the records equal perturbation_certificate's.
-        moments = np.einsum("k,ki,tkj->tij", w[ii] * f / w[ii],
-                            self.mu.points[ii], points[:, jj])
+        moments = _moment_matrix(w[ii] * f / w[ii], self.mu.points[ii],
+                                 points[:, jj])
         eps_claimed, eps_actual = dual.judge(lam, moments, eps)
         bound_ok = np.ones(lam.shape, dtype=bool)
         framed = lam < a
@@ -368,11 +370,11 @@ def interiority_experiment(mu: DiscreteMeasure, W: Subspace, V: Subspace,
     near the boundary of the admissible ball and runs the perturbation
     certificate; the summary counts violations (expected 0) and also
     tracks the perturbed measure's lower frame bound floor.  Trials run in
-    chunks of at most CHUNK_CELLS first-probe coordinate differences
-    (_Trials.run).  A trial glues its plan to the exact dual by nu's atom
-    index, with no atom matching.  Where nu has atoms within POSITION_TOL of
-    each other, perturbation_certificate's glue pools them and the trial
-    does not; the two glued couplings are equal as measures.
+    chunks of at most CHUNK_CELLS numbers per array (_Trials.run).  A trial
+    glues its plan to the exact dual by nu's atom index, with no atom
+    matching.  Where nu has atoms within POSITION_TOL of each other,
+    perturbation_certificate's glue pools them and the trial does not; the
+    two glued couplings are equal as measures.
     """
     nu, gamma_dual = canonical_dual_measure(mu, W, V, tol)
     dual = _ExactDual.certify(mu, nu, gamma_dual, tol)
@@ -380,7 +382,7 @@ def interiority_experiment(mu: DiscreteMeasure, W: Subspace, V: Subspace,
     # coupling pairing mu's atom k with nu's atom k, and row i of a plan
     # leaves nu's atom i: gluing over nu is an index lookup.
     shared = _Trials(mu, nu, V, dual, eps, tol)
-    chunk = max(1, CHUNK_CELLS // (nu.num_atoms ** 2 * nu.ambient_dim))
+    chunk = max(1, CHUNK_CELLS // (nu.num_atoms * max(nu.points.shape)))
     records = []
     for lo in range(0, trials, chunk):
         batch = range(lo, min(lo + chunk, trials))

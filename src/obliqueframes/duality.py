@@ -39,11 +39,11 @@ from .linalg import (
 )
 from .measures import (
     DiscreteMeasure,
+    _moment_matrix,
     classify_probabilistic_frame,
     is_marginal,
     linear_pushforward,
     measure_frame_operator,
-    pushforward,
     weak_equal,
 )
 from .potentials import SATURATION_TOL, PotentialReport
@@ -91,7 +91,7 @@ def canonical_dual_measure(mu: DiscreteMeasure, W: Subspace, V: Subspace,
                            ) -> tuple[DiscreteMeasure, Coupling]:
     """Canonical oblique dual measure with its graph coupling."""
     T = canonical_dual_map(mu, W, V, tol)
-    nu = pushforward(mu, lambda x: T @ x)
+    nu = linear_pushforward(mu, T)
     return nu, Coupling(mu.points, nu.points, mu.weights)
 
 
@@ -133,7 +133,7 @@ def pushforward_dual_map(mu: DiscreteMeasure, W: Subspace, V: Subspace, h,
     _require_frame(mu, W, tol, "the measure")
     T0, s_pinv = dual_operator(measure_frame_operator(mu), V, W)
     # Correction matrix sum_k w_k h(x_k) x_k^T applied through S^+.
-    corr = np.einsum("k,ki,kj->ij", mu.weights, H, mu.points) @ s_pinv
+    corr = _moment_matrix(mu.weights, H, mu.points) @ s_pinv
 
     def T(x):
         x = np.asarray(x, dtype=float)
@@ -153,7 +153,7 @@ def transfer_dual_to_K(nu: DiscreteMeasure, gamma: Coupling, W: Subspace,
     pw = W.basis @ W.basis.T
     require_dual(spectral_norm(moment @ pw - pw), tol, "reconstruction")
     pi_kw = oblique_projection(K, W)
-    nu_k = pushforward(nu, lambda y: pi_kw @ y)
+    nu_k = linear_pushforward(nu, pi_kw)
     return nu_k, Coupling(gamma.x, gamma.y @ pi_kw.T, gamma.weights)
 
 

@@ -77,7 +77,14 @@ def uniform_atoms(points) -> DiscreteMeasure:
 
 
 def second_moment(mu: DiscreteMeasure) -> float:
-    return float(np.sum(mu.weights * np.einsum("ij,ij->i", mu.points, mu.points)))
+    return float(_weighted_square_sum(mu.weights, mu.points))
+
+
+def _weighted_square_sum(weights: np.ndarray, d: np.ndarray):
+    """sum_k w_k ||d_k||^2 over the rows d_k of each d (..., m, n).  With
+    order="C" a stack's row norms are summed as each matrix's alone."""
+    return np.sum(weights * np.einsum("...ki,...ki->...k", d, d, order="C"),
+                  axis=-1)
 
 
 def measure_frame_operator(mu: DiscreteMeasure) -> np.ndarray:
@@ -85,10 +92,10 @@ def measure_frame_operator(mu: DiscreteMeasure) -> np.ndarray:
     return _moment_matrix(mu.weights, mu.points)
 
 
-def _moment_matrix(weights: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """sum_k w_k x_k x_k^T for the atoms x of `points`, or for each measure
-    of a stack (..., m, n) of atoms at the same weights."""
-    return np.einsum("k,...ki,...kj->...ij", weights, points, points)
+def _moment_matrix(weights: np.ndarray, x: np.ndarray, y=None) -> np.ndarray:
+    """sum_k w_k x_k y_k^T (y defaults to x) over the rows of x and y, each
+    (m, n) or a stack (..., m, n), as one matrix product."""
+    return np.swapaxes(weights[:, None] * x, -1, -2) @ (x if y is None else y)
 
 
 def pushforward(mu: DiscreteMeasure, T) -> DiscreteMeasure:

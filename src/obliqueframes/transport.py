@@ -19,7 +19,8 @@ import numpy as np
 from .errors import (DimensionMismatch, InternalConsistencyError,
                      MarginalMismatch, NonConvergence)
 from .linalg import _as_float_array, _freeze
-from .measures import MARGINAL_TOL, DiscreteMeasure, match_atoms, pushforward
+from .measures import (MARGINAL_TOL, DiscreteMeasure, _moment_matrix,
+                       _weighted_square_sum, match_atoms, pushforward)
 
 
 @dataclass(frozen=True)
@@ -51,7 +52,7 @@ class Coupling:
 
     def moment_matrix(self) -> np.ndarray:
         """sum_k w_k x_k y_k^T, the mixed second moment of the coupling."""
-        return np.einsum("k,ki,kj->ij", self.weights, self.x, self.y)
+        return _moment_matrix(self.weights, self.x, self.y)
 
 
 def product_coupling(mu: DiscreteMeasure, nu: DiscreteMeasure) -> Coupling:
@@ -73,8 +74,7 @@ def identity_coupling(mu: DiscreteMeasure) -> Coupling:
 
 def coupling_cost(gamma: Coupling) -> float:
     """Quadratic transport cost sum_k w_k ||x_k - y_k||^2."""
-    diff = gamma.x - gamma.y
-    return float(np.sum(gamma.weights * np.einsum("ki,ki->k", diff, diff)))
+    return float(_weighted_square_sum(gamma.weights, gamma.x - gamma.y))
 
 
 # ---------------------------------------------------------------------------
@@ -363,16 +363,14 @@ SQDIST_CELLS = 1 << 16
 
 
 def _squared_distances(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """||x_i - y_j||^2 between the rows of x (m, n) and of y (k, n), or of
-    each point set of a stack y (T, k, n), as an (m, k) or (T, m, k) array,
-    built in blocks of rows of x of at most SQDIST_CELLS differences (one
-    row at least)."""
+    """||x_i - y_j||^2 between the rows of x (m, n) and of y (k, n), as an
+    (m, k) array built in blocks of rows of x of at most SQDIST_CELLS
+    differences (one row at least)."""
     rows = max(1, SQDIST_CELLS // y.size)
-    out = np.empty(y.shape[:-2] + (x.shape[0], y.shape[-2]))
+    out = np.empty((x.shape[0], y.shape[0]))
     for lo in range(0, x.shape[0], rows):
-        diff = x[lo:lo + rows, None, :] - y[..., None, :, :]
-        np.einsum("...ijk,...ijk->...ij", diff, diff,
-                  out=out[..., lo:lo + rows, :])
+        diff = x[lo:lo + rows, None, :] - y
+        np.einsum("ijk,ijk->ij", diff, diff, out=out[lo:lo + rows])
     return out
 
 
@@ -390,15 +388,6 @@ def _w2_of_cost(cost: np.ndarray, wx: np.ndarray, wy: np.ndarray
     return float(_root_cost(cert.cost)), flows, cert
 
 
-def _solve_w2(x: np.ndarray, wx: np.ndarray, y: np.ndarray, wy: np.ndarray
-              ) -> tuple[float, np.ndarray, TransportCertificate]:
-    """Exact 2-Wasserstein distance with the optimal flows between the atoms
-    x (weights wx) and y (weights wy) of two measures."""
-    if x.shape[1] != y.shape[1]:
-        raise DimensionMismatch("measures live in different ambient spaces")
-    return _w2_of_cost(_squared_distances(x, y), wx, wy)
-
-
 def exact_w2(mu: DiscreteMeasure, nu: DiscreteMeasure
              ) -> tuple[float, Coupling, TransportCertificate]:
     """Exact 2-Wasserstein distance with an optimal coupling.
@@ -406,8 +395,10 @@ def exact_w2(mu: DiscreteMeasure, nu: DiscreteMeasure
     The returned certificate carries the LP cost, duality gap, and pivot
     count of the underlying transportation simplex.
     """
-    dist, flows, cert = _solve_w2(mu.points, mu.weights,
-                                  nu.points, nu.weights)
+    if mu.ambient_dim != nu.ambient_dim:
+        raise DimensionMismatch("measures live in different ambient spaces")
+    dist, flows, cert = _w2_of_cost(_squared_distances(mu.points, nu.points),
+                                    mu.weights, nu.weights)
     return dist, _flow_coupling(mu, nu, flows), cert
 
 

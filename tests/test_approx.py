@@ -438,7 +438,8 @@ class TestCertifiedStart:
         monkeypatch.setattr(transport, "solve_transport",
                             lambda *args, **kwargs: solves.append(args))
         # 50 trials of 3 atoms in R^2: one chunk, or four of at most 16.
-        for cells, chunks in [(approx_mod.CHUNK_CELLS, 1), (16 * 9 * 2, 4)]:
+        for cells, chunks in [(approx_mod.CHUNK_CELLS, 1),
+                              (16 * 3 * max(3, 2), 4)]:
             monkeypatch.setattr(approx_mod, "CHUNK_CELLS", cells)
             stacks.clear()
             summary = interiority_experiment(mu, R2, R2, eps=0.1, trials=50,
@@ -454,39 +455,93 @@ class TestCertifiedStart:
     def test_a_refused_first_probe_is_certified_once(self, monkeypatch):
         # At eps = 2.0 on 12 seeded atoms some first probes are refused.
         # The chunk's one stacked call is the only certification: each
-        # refused trial solves its first probe by the simplex once, and
-        # resumes the bisection from it, each later probe a simplex solve.
-        from obliqueframes import transport
-
+        # refused trial solves its first probe, the very cost matrix the
+        # certifier refused, by the simplex once, and resumes the bisection
+        # from it, each later probe a simplex solve on another cost.
         rng = np.random.default_rng([12, 17])
         W, V = random_admissible_pair(rng, 3, 2)
         mu = random_measure_on(rng, W, 12)
-        calls = []
+        stacks, solved = [], []
+        certify, solve = approx_mod._certify_identity, approx_mod._w2_of_cost
 
-        def counting(module, name):
-            real = getattr(module, name)
+        def certifying(cost, w):
+            result = certify(cost, w)
+            stacks.append((np.array(cost), result[0]))
+            return result
 
-            def wrapper(*args):
-                result = real(*args)
-                calls.append((module.__name__, name, result))
-                return result
+        def solving(cost, wx, wy):
+            solved.append(np.array(cost))
+            return solve(cost, wx, wy)
 
-            monkeypatch.setattr(module, name, wrapper)
-
-        for module in (approx_mod, transport):
-            counting(module, "_certify_identity")
-            counting(module, "_w2_of_cost")
+        monkeypatch.setattr(approx_mod, "_certify_identity", certifying)
+        monkeypatch.setattr(approx_mod, "_w2_of_cost", solving)
         summary = interiority_experiment(mu, W, V, eps=2.0, trials=8,
                                          rng_seed=5)
         assert summary.failures == 0
-        [(certified, _)] = [r for _, name, r in calls
-                            if name == "_certify_identity"]
+        [(costs, certified)] = stacks
         assert certified.size == 8
-        refused = int(np.sum(~certified))
-        assert 0 < refused < 8
-        solves = [module for module, name, _ in calls if name == "_w2_of_cost"]
-        assert solves.count(approx_mod.__name__) == refused
-        assert solves.count(transport.__name__) > 0
+        refused = costs[~certified]
+        assert 0 < len(refused) < 8
+        first = [c for c in solved if any(np.array_equal(c, r) for r in refused)]
+        assert len(first) == len(refused)
+        assert len(solved) > len(first)
+
+    @pytest.mark.parametrize("eps", [1e-3, 1e-4])
+    def test_small_eps_first_probes_land_inside_the_ball(self, monkeypatch,
+                                                        eps):
+        # A first probe's identity plan costs a few ulps under radius^2
+        # only if the diagonal costs s^2 ||d_i||^2 carry no rounding of
+        # ||x_i - (x_i + s d_i)||^2, which at small s loses about
+        # |x| / (s |d|) ulps.  So at small eps every certified first probe
+        # of the triangle must land inside the ball, and no W2 solve runs.
+        from obliqueframes import transport
+
+        mu = mercedes_benz_measure()
+        R2 = full_space(2)
+        stacks, solves = [], []
+        certify = approx_mod._certify_identity
+
+        def certifying(*args):
+            result = certify(*args)
+            stacks.append(result[0])
+            return result
+
+        monkeypatch.setattr(approx_mod, "_certify_identity", certifying)
+        monkeypatch.setattr(transport, "solve_transport",
+                            lambda *args, **kwargs: solves.append(args))
+        summary = interiority_experiment(mu, R2, R2, eps=eps, trials=16,
+                                         rng_seed=0)
+        assert summary.failures == 0
+        assert np.concatenate(stacks).all()
+        assert solves == []
+
+
+class TestJitterCosts:
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("scale", [0.0, 1e-6, 0.3, 7.0])
+    def test_costs_match_the_squared_distances(self, seed, scale):
+        # D - 2s G + s^2 e is ||x_i - (x_j + s d_j)||^2 up to rounding of
+        # the largest cost, with the diagonal s^2 ||d_i||^2 exact; a stack
+        # of trials gives each trial's costs as alone.
+        from obliqueframes.transport import _squared_distances
+
+        rng = np.random.default_rng([seed, 29])
+        W, V = random_admissible_pair(rng, 5, 3)
+        mu = random_measure_on(rng, W, 9)
+        nu, gamma = canonical_dual_measure(mu, W, V)
+        dual = approx_mod._ExactDual.certify(mu, nu, gamma, DEFAULT_TOL)
+        shared = approx_mod._Trials(mu, nu, V, dual, 0.1, DEFAULT_TOL)
+        d = rng.standard_normal((3, 9, 5)) @ (V.basis @ V.basis.T)
+        g, e = shared.jitter(d)
+        costs = shared.costs(g, e, np.full((3, 1, 1), scale))
+        for t in range(3):
+            want = _squared_distances(nu.points, nu.points + scale * d[t])
+            assert np.max(np.abs(costs[t] - want)) <= 1e-12 * np.max(want)
+            assert np.allclose(e[t], np.sum(d[t] ** 2, axis=1),
+                               rtol=1e-15, atol=0)
+            assert np.array_equal(np.diagonal(costs[t]), scale * scale * e[t])
+            alone = shared.costs(*shared.jitter(d[t]), scale)
+            assert np.array_equal(costs[t], alone)
 
 
 def chunk_case(case):
@@ -510,9 +565,10 @@ class TestTrialChunks:
         want = interiority_experiment(mu, W, V, eps=eps, trials=12,
                                       rng_seed=4)
         assert want.failures == 0
+        m, n = mu.points.shape
         for trials in (1, 5):
             monkeypatch.setattr(approx_mod, "CHUNK_CELLS",
-                                trials * mu.num_atoms ** 2 * mu.ambient_dim)
+                                trials * m * max(m, n))
             assert interiority_experiment(mu, W, V, eps=eps, trials=12,
                                           rng_seed=4) == want
 

@@ -18,7 +18,8 @@ from obliqueframes import (
     uniform_atoms,
     weak_equal,
 )
-from obliqueframes.measures import POSITION_TOL, match_atoms
+from obliqueframes.measures import (POSITION_TOL, _moment_matrix,
+                                   _weighted_square_sum, match_atoms)
 from obliqueframes.gallery import (
     full_space,
     line,
@@ -172,6 +173,38 @@ class TestFrameOperator:
     def test_mercedes_benz_is_half_identity(self):
         S = measure_frame_operator(mercedes_benz_measure())
         assert np.allclose(S, 0.5 * np.eye(2), atol=1e-12)
+
+
+class TestMomentKernels:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_moment_matrix_against_a_long_double_reference(self, seed):
+        # 200 atoms in R^64: the one matrix product keeps each entry within
+        # a few ulps of the largest, against 80-bit sums of the same terms.
+        rng = np.random.default_rng([200, 64, seed])
+        x, y = rng.standard_normal((2, 200, 64))
+        w = 0.2 + rng.random(200)
+        w /= w.sum()
+        wide = [a.astype(np.longdouble) for a in (w, x, y)]
+        for got, want in [
+                (_moment_matrix(w, x, y),
+                 np.einsum("k,ki,kj->ij", *wide)),
+                (_moment_matrix(w, x), np.einsum("k,ki,kj->ij", *wide[:2],
+                                                 wide[1]))]:
+            assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+    def test_stacks_on_either_side_give_each_matrix_as_alone(self):
+        rng = np.random.default_rng(31)
+        x, y = rng.standard_normal((3, 7, 4)), rng.standard_normal((3, 7, 4))
+        w = rng.random(7)
+        for t in range(3):
+            alone = _moment_matrix(w, x[t], y[t])
+            assert np.array_equal(_moment_matrix(w, x, y)[t], alone)
+            assert np.array_equal(_moment_matrix(w, x[t], y)[t], alone)
+            assert np.array_equal(_moment_matrix(w, x, y[t])[t], alone)
+            assert np.array_equal(_moment_matrix(w, x)[t],
+                                  _moment_matrix(w, x[t]))
+            assert _weighted_square_sum(w, x)[t] == \
+                _weighted_square_sum(w, x[t])
 
 
 class TestClassify:

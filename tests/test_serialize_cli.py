@@ -1354,17 +1354,17 @@ def interiority_pin_argv(tmp_path, case: str) -> list[str]:
 # trial's bits shows here.
 INTERIORITY_REPORT_SHA256 = {
     "oblique12": (
-        "86200814ee972b1f0f029aedc69aa8e686d0b8a24e28d2ff8138f5ef9726c563",
-        "7783e71982ca4901583cb2e7dd80bed87f926b86201f8d5b7968d08ddbd61074"),
+        "6419e79117ca811c559d15eadbd7b23c61d554f5e5d04c84ac3947e31db46906",
+        "246271da7ecb9193fafd6d39d1eb1e00dcf172575aa16fe1987ccb92f0f6a2d4"),
     "skew-lines": (
         "ea753be77a45692c2dd19690e4eb08a00590687c869e5023356a5454828556b7",
         "0d4fd764dcaf0293881c63b3e481bc1304ab17cbb14bd1f0fa5058b74a6e69de"),
     "triangle-seed0": (
-        "97ef59b4f1ce3c0da2abe20aa8f197f6f5a7368ae26811087c7d933bd48b5714",
-        "c09fa13baa25fbcd283742b4ce90d1a8511f9a8cd97a574457b6227843885708"),
+        "1176d972bccab7c2750f6807a480659b446bb733331e88e8d67814fe6a9e5052",
+        "f9ec1f0a827bb40c8a697d2d32759e127daace1a162c77ed1479bc69535edb96"),
     "triangle-seed1": (
-        "97ef59b4f1ce3c0da2abe20aa8f197f6f5a7368ae26811087c7d933bd48b5714",
-        "2780acdda005433909eb36ad1ab9842926a7a68490c95f652a8b8d1de44bff93"),
+        "1176d972bccab7c2750f6807a480659b446bb733331e88e8d67814fe6a9e5052",
+        "b5c92a29509436977a1ae2620a344d7b7d6efb96c4d6500d4af54e9f5b0ff893"),
 }
 
 
