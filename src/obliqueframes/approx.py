@@ -6,13 +6,13 @@ Perturbing the sampling measure of an exact dual pair inside a quadratic
 transport ball of cost at most A * epsilon^2 keeps it an epsilon-approximate
 dual; the certificate is constructed by gluing the exact-dual coupling
 with the perturbation coupling and projecting onto the outer coordinates.
-The exact dual is certified once per experiment; the perturbation trials
-then run, in stacked chunks, only the checks that depend on the perturbed
-measure, and glue over the dual measure by its atom index, where
-perturbation_certificate, given arbitrary couplings, matches atoms.  A
-jitter's transport costs are affine in its scale s, built from the dual's
-squared distances once per experiment and one matrix product per trial
-(_Trials.costs), so every probe of a trial's bisection costs O(m^2).
+The exact dual is certified once per experiment, and its graph coupling,
+built from mu's and nu's own atoms, is not re-matched; the trials then run,
+in stacked chunks, only the checks that depend on the perturbed measure,
+and glue over nu by its atom index, where perturbation_certificate, given
+arbitrary couplings, matches atoms.  A jitter's costs are affine in its
+scale s, built from nu's squared distances once per experiment and one
+matrix product per trial (_Trials.costs), so a bisection probe costs O(m^2).
 """
 from __future__ import annotations
 
@@ -166,13 +166,14 @@ def perturbation_certificate(mu: DiscreteMeasure, nu: DiscreteMeasure,
                              ) -> PerturbationCertificate:
     """Certify eta as an eps-approximate dual of mu by gluing couplings.
 
-    Requires gamma_dual to certify nu as an exact dual and gamma_pert to
-    couple nu with eta at quadratic cost at most A * eps^2, where
+    gamma_dual must couple mu with nu and certify nu as an exact dual, and
+    gamma_pert couple nu with eta at quadratic cost at most A * eps^2, where
     A = min(lambda_min of nu on V, 1/C) with C the upper bound of mu: the
     largest lower bound of nu with A * C <= 1, which exact duality always
     makes admissible.  Raises InternalConsistencyError when the glued
     coupling's residual exceeds eps anyway, since the theorem forbids it.
     """
+    _validate_coupling(gamma_dual, mu, nu)
     dual = _ExactDual.certify(mu, nu, gamma_dual, tol)
     _validate_coupling(gamma_pert, nu, eta)
     lam = coupling_cost(gamma_pert)
@@ -376,11 +377,15 @@ def interiority_experiment(mu: DiscreteMeasure, W: Subspace, V: Subspace,
     perturbation_certificate's glue pools them and the trial does not; the
     two glued couplings are equal as measures.
     """
+    if not 0.0 <= eps < np.inf:
+        raise ValueError(f"eps must be finite and >= 0, got {eps}")
+    if trials < 0:
+        raise ValueError(f"trials must be >= 0, got {trials}")
     nu, gamma_dual = canonical_dual_measure(mu, W, V, tol)
-    dual = _ExactDual.certify(mu, nu, gamma_dual, tol)
     # nu is the pushforward of mu atom by atom, so gamma_dual is the graph
-    # coupling pairing mu's atom k with nu's atom k, and row i of a plan
-    # leaves nu's atom i: gluing over nu is an index lookup.
+    # coupling of mu's atom k with nu's atom k, its marginals mu and nu by
+    # construction, and row i of a plan leaves nu's atom i: glue by index.
+    dual = _ExactDual.certify(mu, nu, gamma_dual, tol)
     shared = _Trials(mu, nu, V, dual, eps, tol)
     chunk = max(1, CHUNK_CELLS // (nu.num_atoms * max(nu.points.shape)))
     records = []

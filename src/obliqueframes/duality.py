@@ -104,17 +104,17 @@ def is_oblique_dual_measure(mu: DiscreteMeasure, nu: DiscreteMeasure,
     spectral distance between the coupling's mixed moment and the oblique
     projection.
     """
-    resid, _ = _dual_certificate(mu, nu, gamma, support_span(mu),
-                                 support_span(nu))
+    W, V = support_span(mu), support_span(nu)
+    _validate_coupling(gamma, mu, nu)
+    resid, _ = _dual_certificate(mu, nu, gamma, W, V)
     return is_dual_residual(resid, tol), resid
 
 
 def _dual_certificate(mu: DiscreteMeasure, nu: DiscreteMeasure,
                       gamma: Coupling, W: Subspace, V: Subspace
                       ) -> tuple[float, np.ndarray]:
-    """The residual of is_oblique_dual_measure with the spans W of mu and V
-    of nu given, and the oblique projection it was measured against."""
-    _validate_coupling(gamma, mu, nu)
+    """is_oblique_dual_measure's residual for given spans W of mu and V of nu,
+    and the projection it used; the caller answers for gamma's marginals."""
     pi_wv = oblique_projection(W, V)
     return spectral_norm(gamma.moment_matrix() - pi_wv), pi_wv
 
@@ -166,15 +166,9 @@ def probabilistic_consistency_check(mu: DiscreteMeasure, nu: DiscreteMeasure,
     the maximum |<f - fhat, z>| over probes and atoms is returned.
     """
     _validate_coupling(gamma, mu, nu)
-    moment = gamma.moment_matrix()
-    support = nu.support()
-    worst = 0.0
-    for f in probes:
-        f = np.asarray(f, dtype=float)
-        fhat = moment @ f
-        if support.shape[0]:
-            worst = max(worst, float(np.max(np.abs(support @ (f - fhat)))))
-    return worst
+    moment, support = gamma.moment_matrix(), nu.support()
+    return max([0.0] + [float(np.max(np.abs(support @ (f - moment @ f))))
+                        for f in np.asarray(probes, dtype=float)])
 
 
 def pf_dual_potential(mu: DiscreteMeasure, nu: DiscreteMeasure, mode: str,
@@ -192,6 +186,7 @@ def pf_dual_potential(mu: DiscreteMeasure, nu: DiscreteMeasure, mode: str,
     W, (lo, hi) = _framed_span(mu)
     V = support_span(nu)
     if coupling is not None:
+        _validate_coupling(coupling, mu, nu)
         require_dual(_dual_certificate(mu, nu, coupling, W, V)[0], tol,
                      "certificate")
     if mu.ambient_dim != nu.ambient_dim:

@@ -1,12 +1,12 @@
 """Discrete optimal transport with quadratic cost.
 
 A coupling is a finitely supported joint measure: weighted pairs (x, y).
-That it couples two given measures is a claim of the call that takes it
-with them, and is checked there (duality._validate_coupling).  The exact
-2-Wasserstein distance is computed by a transportation simplex on the
-dense cost matrix: a least-cost starting basis, Dantzig pricing, Bland's
-rule after a run of degenerate pivots so that it cannot cycle, and tree
-potentials updated on the subtree each pivot cuts off.  Optimality is
+That it couples two given measures is checked where it enters the library
+(duality._validate_coupling), not where the library built it from them.
+The exact 2-Wasserstein distance is computed by a transportation simplex
+on the dense cost matrix: a least-cost starting basis, Dantzig pricing,
+Bland's rule after a run of degenerate pivots so that it cannot cycle, and
+tree potentials updated on the subtree each pivot cuts off.  Optimality is
 certified through the LP dual, with potentials from a fresh tree walk.
 The gluing construction composes two couplings over a shared marginal.
 """

@@ -40,6 +40,22 @@ def perturbed_skew_line():
     return mu, nu_shift, product_coupling(mu, nu_shift)
 
 
+# Couplings claimed to couple the skew-line measures mu (a Dirac at (1, 0))
+# and nu (halves at (0, 0) and (2, 2)), or nu with itself, that are wrong on
+# one side only.
+MU_NU_MISMATCHED = {
+    "first": Coupling([[0.0, 1.0], [1.0, 0.0]], [[0.0, 0.0], [2.0, 2.0]],
+                      [0.5, 0.5]),
+    "second": Coupling([[1.0, 0.0]], [[0.0, 0.0]], [1.0]),
+}
+NU_NU_MISMATCHED = {
+    "first": Coupling([[1.0, 1.0], [2.0, 2.0]], [[0.0, 0.0], [2.0, 2.0]],
+                      [0.5, 0.5]),
+    "second": Coupling([[0.0, 0.0], [2.0, 2.0]], [[0.0, 0.0], [0.0, 0.0]],
+                       [0.5, 0.5]),
+}
+
+
 def record_trials(monkeypatch):
     """A dict that gains, for each trial the experiment judges, its jittered
     measure eta and its optimal plan from nu, read from the stacks of
@@ -81,6 +97,13 @@ class TestApproxDualResidual:
         # F = 0, so the residual is the oblique projection's own norm,
         # the reciprocal of the subspace angle cosine.
         assert rep.epsilon_residual == pytest.approx(np.sqrt(2.0), abs=1e-12)
+
+    @pytest.mark.parametrize("side", MU_NU_MISMATCHED)
+    def test_a_mismatched_coupling_is_rejected(self, side):
+        mu, nu, _ = skew_line_measures()
+        W, V = skew_line_subspaces()
+        with pytest.raises(MarginalMismatch, match=f"{side} marginal"):
+            approx_dual_residual(mu, nu, MU_NU_MISMATCHED[side], W, V)
 
 
 class TestConsistencySupremum:
@@ -208,6 +231,21 @@ class TestPerturbationCertificate:
         with pytest.raises(HypothesisViolated):
             perturbation_certificate(mu, nu, gamma, eta, pert, eps=0.1)
 
+    @pytest.mark.parametrize("side", MU_NU_MISMATCHED)
+    def test_a_mismatched_dual_coupling_is_rejected(self, side):
+        mu, nu, _ = skew_line_measures()
+        pairs = Coupling(nu.points, nu.points, nu.weights)
+        with pytest.raises(MarginalMismatch, match=f"{side} marginal"):
+            perturbation_certificate(mu, nu, MU_NU_MISMATCHED[side], nu,
+                                     pairs, eps=0.1)
+
+    @pytest.mark.parametrize("side", NU_NU_MISMATCHED)
+    def test_a_mismatched_perturbation_coupling_is_rejected(self, side):
+        mu, nu, gamma = skew_line_measures()
+        with pytest.raises(MarginalMismatch, match=f"{side} marginal"):
+            perturbation_certificate(mu, nu, gamma, nu, NU_NU_MISMATCHED[side],
+                                     eps=0.1)
+
     @given(st.integers(0, 500))
     def test_certified_residual_chain(self, seed):
         rng = np.random.default_rng(seed)
@@ -240,6 +278,21 @@ class TestInteriorityExperiment:
                                          rng_seed=0)
         assert summary.failures == 0
         assert summary.max_epsilon_actual <= 1e-12
+
+    @pytest.mark.parametrize("eps, trials, name", [
+        (-0.1, 8, "eps"), (float("nan"), 8, "eps"), (float("inf"), 8, "eps"),
+        (-1e-300, 8, "eps"), (0.1, -3, "trials"),
+    ])
+    def test_out_of_range_arguments_are_rejected_before_any_work(
+            self, monkeypatch, eps, trials, name):
+        def no_work(*args):
+            raise AssertionError("the canonical dual was built")
+
+        monkeypatch.setattr(approx_mod, "canonical_dual_measure", no_work)
+        R2 = full_space(2)
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            interiority_experiment(mercedes_benz_measure(), R2, R2, eps=eps,
+                                   trials=trials, rng_seed=0)
 
     def test_mercedes_benz_w_equals_v(self):
         mu = mercedes_benz_measure()

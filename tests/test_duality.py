@@ -42,6 +42,7 @@ from obliqueframes.gallery import (
     skew_line_measures,
     skew_line_subspaces,
 )
+from obliqueframes.measures import POSITION_TOL
 from obliqueframes.serialize import serialize_fixture
 
 
@@ -66,6 +67,20 @@ def random_table_dual_map(rng, mu, W, V, scale=1.0):
     return pushforward_dual_map(mu, W, V, h)
 
 
+# Couplings claimed to couple the skew-line measures (a Dirac at (1, 0) and
+# halves at (0, 0) and (2, 2)) that are wrong on one side only.
+MU_NU_MISMATCHED = {
+    "first": Coupling([[0.0, 1.0], [1.0, 0.0]], [[0.0, 0.0], [2.0, 2.0]],
+                      [0.5, 0.5]),
+    "second": Coupling([[1.0, 0.0]], [[0.0, 0.0]], [1.0]),
+}
+
+
+def same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape \
+        and a.tobytes() == b.tobytes()
+
+
 class TestCanonicalDualMeasure:
     def test_skew_line_dirac(self):
         W, V = skew_line_subspaces()
@@ -87,6 +102,28 @@ class TestCanonicalDualMeasure:
         nu, gamma = canonical_dual_measure(mu, R2, R2)
         assert np.allclose(gamma.x, mu.points)
         assert np.allclose(gamma.y, nu.points)
+
+    @given(st.integers(0, 5_000), st.floats(0.0, 1.0),
+           st.sampled_from([0.0, 0.5]))
+    def test_graph_coupling_is_mu_and_nu_bit_for_bit(self, seed, nudge,
+                                                     share):
+        # The coupling is built from mu's and nu's own arrays, so its
+        # marginals are mu and nu without an atom match; the interiority
+        # experiment relies on this and does not re-match them.  Pair k is
+        # (mu's atom k, nu's atom k) at mu's weight k, also for atoms of
+        # zero weight and atoms within POSITION_TOL of each other: atom 0
+        # gains a neighbour at `nudge` POSITION_TOL holding `share` of its
+        # weight, and a last atom of W weighs nothing.
+        rng, W, V, base = random_dual_instance(seed)
+        near = base.points[0] + nudge * POSITION_TOL * W.basis[:, 0]
+        spare = W.basis @ rng.standard_normal(W.dim)
+        weights = np.concatenate([base.weights, [0.0, 0.0]])
+        weights[[0, -2]] = (1.0 - share) * weights[0], share * weights[0]
+        mu = DiscreteMeasure(np.vstack([base.points, near, spare]), weights)
+        nu, gamma = canonical_dual_measure(mu, W, V)
+        assert same_bits(gamma.x, mu.points)
+        assert same_bits(gamma.y, nu.points)
+        assert same_bits(gamma.weights, mu.weights)
 
 
 class TestFrameIsAUnitWeightMeasure:
@@ -119,6 +156,12 @@ class TestIsObliqueDualMeasure:
         bad = Coupling([[1.0, 0.0]], [[0.0, 0.0]], [1.0])
         with pytest.raises(MarginalMismatch):
             is_oblique_dual_measure(mu, nu, bad)
+
+    @pytest.mark.parametrize("side", MU_NU_MISMATCHED)
+    def test_each_marginal_is_checked(self, side):
+        mu, nu, _ = skew_line_measures()
+        with pytest.raises(MarginalMismatch, match=f"{side} marginal"):
+            is_oblique_dual_measure(mu, nu, MU_NU_MISMATCHED[side])
 
     def test_non_dual_coupling_fails_with_positive_residual(self):
         mu, _, _ = skew_line_measures()
@@ -402,6 +445,13 @@ class TestPfDualPotential:
         gamma = product_coupling(mu, nu_bad)
         with pytest.raises(NotADual):
             pf_dual_potential(mu, nu_bad, "general", gamma)
+
+    @pytest.mark.parametrize("mode", ["pushforward", "general"])
+    @pytest.mark.parametrize("side", MU_NU_MISMATCHED)
+    def test_a_mismatched_certificate_is_rejected(self, side, mode):
+        mu, nu, _ = skew_line_measures()
+        with pytest.raises(MarginalMismatch, match=f"{side} marginal"):
+            pf_dual_potential(mu, nu, mode, MU_NU_MISMATCHED[side])
 
     @pytest.mark.parametrize("mode", ["pushforward", "general"])
     def test_the_span_drops_what_the_frame_test_drops(self, mode, tmp_path):

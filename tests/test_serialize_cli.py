@@ -727,6 +727,51 @@ class TestIllConditionedInputs:
         assert err.startswith("error: ") and err.count("\n") == 1
 
 
+# Couplings that the verbs are told couple skew_line_mu (a Dirac at (1, 0))
+# with skew_line_nu (halves at (0, 0) and (2, 2)), or skew_line_nu with
+# itself, each wrong on one side only.
+MU_NU_MISMATCHED = {
+    "first": {"pairs": [[[0, 1], [0, 0], 0.5], [[1, 0], [2, 2], 0.5]]},
+    "second": {"pairs": [[[1, 0], [0, 0], 1]]},
+}
+NU_NU_IDENTITY = {"pairs": [[[0, 0], [0, 0], 0.5], [[2, 2], [2, 2], 0.5]]}
+NU_NU_MISMATCHED = {
+    "first": {"pairs": [[[1, 1], [0, 0], 0.5], [[2, 2], [2, 2], 0.5]]},
+    "second": {"pairs": [[[0, 0], [0, 0], 0.5], [[2, 2], [0, 0], 0.5]]},
+}
+
+
+class TestMismatchedCouplings:
+    """A coupling that does not couple the measures it is given with exits
+    2 with one line naming the wrong marginal, on every verb that takes one."""
+
+    @pytest.mark.parametrize("side", ["first", "second"])
+    @pytest.mark.parametrize("verb", ["pf-check", "pf-potential",
+                                      "approx-check", "perturb-dual",
+                                      "perturb-pert"])
+    def test_exits_2_naming_the_marginal(self, tmp_path, capsys, verb, side):
+        mu, nu = fixture("skew_line_mu.json"), fixture("skew_line_nu.json")
+        bad = write_json(tmp_path, "bad.json", (
+            NU_NU_MISMATCHED if verb == "perturb-pert" else MU_NU_MISMATCHED
+        )[side])
+        ident = write_json(tmp_path, "id.json", NU_NU_IDENTITY)
+        product = fixture("skew_line_product_coupling.json")
+        argv = {
+            "pf-check": ["pf-check", mu, nu, bad],
+            "pf-potential": ["pf-potential", mu, nu, "--coupling", bad],
+            "approx-check": ["approx-check", mu, nu, bad,
+                             fixture("skew_line_w.json"),
+                             fixture("skew_line_v.json")],
+            "perturb-dual": ["perturb", mu, nu, bad, nu, ident,
+                             "--eps", "0.1"],
+            "perturb-pert": ["perturb", mu, nu, product, nu, bad,
+                             "--eps", "0.1"],
+        }[verb]
+        assert run_cli(*argv) == 2
+        assert capsys.readouterr() == ("", (
+            f"error: coupling's {side} marginal is not the given measure\n"))
+
+
 L3 = {"ambient_dim": 3, "basis": [[1], [0], [0]]}
 M1 = {"ambient_dim": 1, "points": [[1]], "weights": [1]}
 
@@ -934,10 +979,12 @@ class TestWorkDoneOnce:
         (["pf-check", fixture("skew_line_mu.json"),
           fixture("skew_line_nu.json"),
           fixture("skew_line_product_coupling.json")], 2),
-        # The exact dual's two marginal checks; trials glue by atom index.
+        # None: the exact dual's graph coupling is built from mu's and nu's
+        # own arrays, so its marginals are not re-matched, and the trials
+        # glue by atom index.
         (["interiority", fixture("mercedes_benz_measure.json"),
           fixture("plane.json"), fixture("plane.json"), "--eps", "0.1",
-          "--trials", "16"], 2),
+          "--trials", "16"], 0),
     ], ids=["pf-check", "interiority"])
     def test_atoms_are_matched_only_where_a_claim_is_checked(
             self, match_calls, argv, calls):
