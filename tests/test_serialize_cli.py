@@ -1437,6 +1437,120 @@ class TestPinnedInteriorityReports:
         assert any(pivots) == (case == "oblique12")
 
 
+def certificate_pin_inputs(tmp_path) -> dict[str, str]:
+    """The written inputs of the pinned certificate calls, by name.
+
+    ETA and PERT perturb skew_line_nu by 0.05 along the diagonal; FAMILY is
+    the Mercedes-Benz frame's dual generated by 0.1 * I (3 x 2), whose mixed
+    Gram diagonal is not constant; MU64, NU64, GAMMA64, W64 and V64 are the
+    canonical dual of 200 seeded atoms on a 32-dimensional W of R^64, V at
+    cosine 0.7.
+    """
+    from obliqueframes import Coupling, DiscreteMeasure
+    from obliqueframes.duality import canonical_dual_measure
+    from obliqueframes.frames import oblique_dual_family
+    from obliqueframes.gallery import (full_space, mercedes_benz_frame,
+                                       random_admissible_pair,
+                                       random_measure_on)
+
+    nu = parse_fixture(fixture("skew_line_nu.json"), "measure")
+    eta = DiscreteMeasure([[0.05, 0.05], [2.05, 2.05]], [0.5, 0.5])
+    rng = np.random.default_rng(200)
+    W, V = random_admissible_pair(rng, 64, 32, 0.7)
+    mu = random_measure_on(rng, W, 200)
+    nu64, gamma64 = canonical_dual_measure(mu, W, V)
+    values = {
+        "ETA": eta, "PERT": Coupling(nu.points, eta.points, [0.5, 0.5]),
+        "FAMILY": oblique_dual_family(mercedes_benz_frame(), full_space(2),
+                                      0.1 * np.eye(3, 2)),
+        "MU64": mu, "NU64": nu64, "GAMMA64": gamma64, "W64": W, "V64": V,
+    }
+    paths = {}
+    for name, value in values.items():
+        paths[name] = str(tmp_path / f"{name}.json")
+        serialize_fixture(value, paths[name])
+    return paths
+
+
+SKEW_COUPLING = ("skew_line_mu.json", "skew_line_nu.json",
+                 "skew_line_product_coupling.json")
+
+# Each certificate call's arguments (upper-case names are written by
+# certificate_pin_inputs) and the sha256 of its stdout and stderr with its
+# exit code: a change in one residual bit, one flag or one error byte shows.
+NO_OUTPUT = hashlib.sha256(b"").hexdigest()
+CERTIFICATE_REPORT_PINS = {
+    "check-dual-skew": (
+        ["check-dual", "skew_line_pair.json"],
+        "b39949d01dc0fddc1963d701a2faa8572346f773048373dcc2fde345f9753492",
+        NO_OUTPUT, 0),
+    "check-dual-mercedes-benz": (
+        ["check-dual", "mercedes_benz_pair.json"],
+        "f62a1d0e219d0e36d8109e81cb1dada7ab70553dc5b7c72af534b63b6603d229",
+        NO_OUTPUT, 0),
+    "oblique-dual-mercedes-benz": (
+        ["oblique-dual", "mercedes_benz_frame.json", "plane.json"],
+        "d6a9295e2cf593531626fac7e0d1e4438457a87ab32ec7fd4acd7fe0408815a0",
+        NO_OUTPUT, 0),
+    "coherence-mercedes-benz": (
+        ["coherence", "mercedes_benz_pair.json"],
+        "c28c75ec859ed0653f4a2d6f6441e5d5f09669a909a4dc491a76f109ed71de53",
+        NO_OUTPUT, 0),
+    "coherence-skew": (
+        ["coherence", "skew_line_pair.json"],
+        "5ffbb6362c5f04f89379b55277c1c8e468c9a76daf15d78c692f0d3d334b0b77",
+        NO_OUTPUT, 0),
+    "coherence-family": (
+        ["coherence", "FAMILY"],
+        NO_OUTPUT,
+        "b37c6a61a3e54b169c4d6c5199d8bcc60a2f4a4cc8770b3dd759ceca0e1975ef", 3),
+    "pf-check-skew": (
+        ["pf-check", *SKEW_COUPLING],
+        "b39949d01dc0fddc1963d701a2faa8572346f773048373dcc2fde345f9753492",
+        NO_OUTPUT, 0),
+    "pf-potential-pushforward": (
+        ["pf-potential", *SKEW_COUPLING[:2], "--mode", "pushforward",
+         "--coupling", SKEW_COUPLING[2]],
+        "35a6832e5df09b3fbc06b1322443b4358ad2386d949dc51cc39da47d930df159",
+        NO_OUTPUT, 0),
+    "pf-potential-general": (
+        ["pf-potential", *SKEW_COUPLING[:2], "--mode", "general",
+         "--coupling", SKEW_COUPLING[2]],
+        "35a6832e5df09b3fbc06b1322443b4358ad2386d949dc51cc39da47d930df159",
+        NO_OUTPUT, 0),
+    "approx-check-skew": (
+        ["approx-check", *SKEW_COUPLING, "skew_line_w.json",
+         "skew_line_v.json"],
+        "46a2ece9d6ea3c5cfc23208b8794b155003f029cad5f7edf78e91cd7172a1a39",
+        NO_OUTPUT, 0),
+    "perturb-skew": (
+        ["perturb", *SKEW_COUPLING, "ETA", "PERT", "--eps", "0.1"],
+        "3ec0e1fe1842801b2f074eb7e3587efca9b9b71c829782245974b2c089338873",
+        NO_OUTPUT, 0),
+    "pf-check-200": (
+        ["pf-check", "MU64", "NU64", "GAMMA64"],
+        "ae0c1ea813ecbd147a6975356a5e118c5bacc9021d46537f0b0915f894ee8171",
+        NO_OUTPUT, 0),
+    "approx-check-200": (
+        ["approx-check", "MU64", "NU64", "GAMMA64", "W64", "V64"],
+        "f15f6ca35829a90cb5ba73f2eddfa112a2b0575a7a7ad2d4dd6ba251fc0e29c8",
+        NO_OUTPUT, 0),
+}
+
+
+class TestPinnedCertificateReports:
+    @pytest.mark.parametrize("case", sorted(CERTIFICATE_REPORT_PINS))
+    def test_the_certificate_report_bytes(self, tmp_path, capsys, case):
+        argv, *expected = CERTIFICATE_REPORT_PINS[case]
+        inputs = certificate_pin_inputs(tmp_path)
+        args = [inputs.get(a) or (fixture(a) if a.endswith(".json") else a)
+                for a in argv[1:]]
+        code = main([argv[0], *args])
+        out, err = capsys.readouterr()
+        assert [hashlib.sha256(out.encode()).hexdigest(),
+                hashlib.sha256(err.encode()).hexdigest(), code] == expected
+
+
 class TestReportDataclasses:
     """serialize writes a report dataclass as its fields, in declaration
     order, each value through the same canonical rules as a dict's."""
