@@ -67,16 +67,7 @@ def cmd_potential(args):
 
 def cmd_coherence(args):
     pair = parse_fixture(args.pair, "pair", args.tol)
-    rep = potentials.mixed_coherence(pair, args.tol)
-    G, Q = potentials.mixed_gram(pair, args.tol)
-    _emit(args, {
-        "max_off_diagonal_sq": rep.max_off_diagonal_sq,
-        "welch_bound": rep.welch_bound,
-        "diagonal_constant": rep.diagonal_constant,
-        "saturated": rep.saturated,
-        "mixed_gram": G,
-        "signature": Q,
-    })
+    _emit(args, potentials.mixed_coherence(pair, args.tol))
 
 
 def cmd_etf_lift(args):

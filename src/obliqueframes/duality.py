@@ -33,6 +33,7 @@ from .linalg import (
     factor_span,
     is_dual_residual,
     oblique_projection,
+    oblique_residual,
     require_dual,
     spectral_norm,
     tight_and_parseval,
@@ -106,17 +107,8 @@ def is_oblique_dual_measure(mu: DiscreteMeasure, nu: DiscreteMeasure,
     """
     W, V = support_span(mu), support_span(nu)
     _validate_coupling(gamma, mu, nu)
-    resid, _ = _dual_certificate(mu, nu, gamma, W, V)
+    resid, _ = oblique_residual(gamma.moment_matrix(), W, V)
     return is_dual_residual(resid, tol), resid
-
-
-def _dual_certificate(mu: DiscreteMeasure, nu: DiscreteMeasure,
-                      gamma: Coupling, W: Subspace, V: Subspace
-                      ) -> tuple[float, np.ndarray]:
-    """is_oblique_dual_measure's residual for given spans W of mu and V of nu,
-    and the projection it used; the caller answers for gamma's marginals."""
-    pi_wv = oblique_projection(W, V)
-    return spectral_norm(gamma.moment_matrix() - pi_wv), pi_wv
 
 
 def pushforward_dual_map(mu: DiscreteMeasure, W: Subspace, V: Subspace, h,
@@ -187,7 +179,7 @@ def pf_dual_potential(mu: DiscreteMeasure, nu: DiscreteMeasure, mode: str,
     V = support_span(nu)
     if coupling is not None:
         _validate_coupling(coupling, mu, nu)
-        require_dual(_dual_certificate(mu, nu, coupling, W, V)[0], tol,
+        require_dual(oblique_residual(coupling.moment_matrix(), W, V)[0], tol,
                      "certificate")
     if mu.ambient_dim != nu.ambient_dim:
         raise DimensionMismatch(f"the first measure lives in R^{mu.ambient_dim}, "

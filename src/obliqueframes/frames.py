@@ -22,9 +22,8 @@ from .linalg import (
     _freeze,
     dual_operator,
     is_dual_residual,
-    oblique_projection,
+    oblique_residual,
     restricted_spectrum,
-    spectral_norm,
 )
 
 
@@ -104,9 +103,8 @@ def frame_bounds(F: FiniteFrame) -> tuple[float, float]:
 
 def dual_residual(synthesis: FiniteFrame, analysis: FiniteFrame) -> float:
     """Spectral norm of sum_i w_i v_i^T minus the oblique projection."""
-    pi = oblique_projection(synthesis.subspace, analysis.subspace)
-    mixed = synthesis.matrix @ analysis.vectors
-    return spectral_norm(mixed - pi)
+    return oblique_residual(synthesis.matrix @ analysis.vectors,
+                            synthesis.subspace, analysis.subspace)[0]
 
 
 def is_oblique_dual(Fw: FiniteFrame, Fv: FiniteFrame,

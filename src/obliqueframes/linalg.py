@@ -2,8 +2,9 @@
 
 The one span kernel, factor_span, and the one frame test, restricted_spectrum,
 sharing one rank rule; Moore-Penrose pseudoinverses, subspace angles,
-orthogonal/oblique projections, the dual operator composing them, and the one
-dual decision, is_dual_residual, all on plain numpy arrays.
+orthogonal/oblique projections, the dual operator composing them, the one
+duality residual, oblique_residual, and the one dual decision,
+is_dual_residual, all on plain numpy arrays.
 Everything here is a pure function of immutable inputs; arrays stored on
 dataclasses are marked read-only.
 """
@@ -155,6 +156,14 @@ def is_dual_residual(residual: float, tol: Tolerance) -> bool:
     the oblique projection pi_{W,V}) certifies duality when it is at most
     eq_tol."""
     return bool(residual <= tol.eq_tol)
+
+
+def oblique_residual(M, W: Subspace, V: Subspace) -> tuple[float, np.ndarray]:
+    """The one duality residual: the spectral norm of a mixed moment M (a
+    frame pair's sum w_i v_i^T, a coupling's E[x y^T]) minus the oblique
+    projection pi_{W,V}, returned with that projection."""
+    pi = oblique_projection(W, V)
+    return spectral_norm(M - pi), pi
 
 
 def require_dual(residual: float, tol: Tolerance, what: str = "pair"):

@@ -54,7 +54,8 @@ class CoherenceReport:
     welch_bound: float
     diagonal_constant: bool
     saturated: bool
-    saturation_tol: float = SATURATION_TOL
+    mixed_gram: np.ndarray
+    signature: np.ndarray | None
 
 
 def _is_even_order(p: float) -> bool:
@@ -143,10 +144,14 @@ def constant_diagonal_bound(N: int, d: int, p: float) -> float:
 
 def mixed_coherence(pair: ObliqueDualPair,
                     tol: Tolerance = DEFAULT_TOL) -> CoherenceReport:
-    """Largest squared off-diagonal mixed inner product vs. its bound.
+    """Largest squared off-diagonal mixed inner product vs. its bound, with
+    the mixed Gram it was read from and, at saturation, its signature.
 
     Requires a constant mixed-Gram diagonal; raises HypothesisViolated
-    otherwise, since the bound is only valid under that hypothesis.
+    otherwise, since the bound is only valid under that hypothesis.  When
+    the Welch-type bound is met with N > d_W, the Gram decomposes as
+    (d_W/N)(I + c Q) with Q symmetric, hollow, and entrywise +-1; Q is the
+    signature in that case and checked, otherwise None.
     """
     require_dual(pair.residual, tol)
     G = mixed_gram_entries(pair)
@@ -158,46 +163,34 @@ def mixed_coherence(pair: ObliqueDualPair,
             "mixed Gram diagonal is not constant; the coherence bound does not apply"
         )
     if N == 1:
-        return CoherenceReport(0.0, 0.0, diagonal_constant=True, saturated=True)
+        return CoherenceReport(0.0, 0.0, True, True, G, None)
     off = np.abs(G[~np.eye(N, dtype=bool)]) ** 2
     max_off = float(np.max(off))
     bound = welch_type_bound(N, d)
-    return CoherenceReport(
-        max_off_diagonal_sq=max_off,
-        welch_bound=bound,
-        diagonal_constant=True,
-        saturated=max_off - bound <= SATURATION_TOL,
-    )
-
-
-def mixed_gram(pair: ObliqueDualPair,
-               tol: Tolerance = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray | None]:
-    """Mixed Gram matrix and, at coherence saturation, its signature part.
-
-    When the Welch-type bound is met with N > d_W, the Gram decomposes as
-    (d_W/N)(I + c Q) with Q symmetric, hollow, and entrywise +-1; Q is
-    returned in that case and checked, otherwise None.
-    """
-    require_dual(pair.residual, tol)
-    G = mixed_gram_entries(pair)
-    N = G.shape[0]
-    d = pair.synthesis.subspace.dim
-    try:
-        report = mixed_coherence(pair, tol)
-    except HypothesisViolated:
-        return G, None
-    if not report.saturated or N <= d:
-        return G, None
+    saturated = max_off - bound <= SATURATION_TOL
+    if not saturated or N <= d:
+        return CoherenceReport(max_off, bound, True, saturated, G, None)
     scale = (N / d) * np.sqrt(d * (N - 1.0) / (N - d))
     Q = (G - (d / N) * np.eye(N)) * scale
     if spectral_norm(Q - Q.T) > tol.eq_tol:
         raise InternalConsistencyError("signature matrix is not symmetric")
     if np.max(np.abs(np.diag(Q))) > tol.eq_tol:
         raise InternalConsistencyError("signature matrix has nonzero diagonal")
-    off = Q[~np.eye(N, dtype=bool)]
-    if np.max(np.abs(np.abs(off) - 1.0)) > tol.eq_tol:
+    if np.max(np.abs(np.abs(Q[~np.eye(N, dtype=bool)]) - 1.0)) > tol.eq_tol:
         raise InternalConsistencyError("signature entries are not unimodular")
-    return G, Q
+    return CoherenceReport(max_off, bound, True, saturated, G, Q)
+
+
+def mixed_gram(pair: ObliqueDualPair,
+               tol: Tolerance = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray | None]:
+    """Mixed Gram matrix and, at coherence saturation, its signature part:
+    mixed_coherence's pair of them, and no signature when the mixed-Gram
+    diagonal is not constant."""
+    try:
+        report = mixed_coherence(pair, tol)
+    except HypothesisViolated:
+        return mixed_gram_entries(pair), None
+    return report.mixed_gram, report.signature
 
 
 def etf_lift(F: FiniteFrame,

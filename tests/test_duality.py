@@ -8,6 +8,7 @@ from obliqueframes import (
     DiscreteMeasure,
     MarginalMismatch,
     NotADual,
+    RangeViolation,
     canonical_dual_map,
     canonical_dual_measure,
     canonical_oblique_dual,
@@ -317,6 +318,13 @@ class TestPushforwardDualMap:
         for x in mu.points:
             assert np.allclose(T(x), T0 @ x + h(x), atol=1e-12)
 
+    def test_h_leaving_the_sampling_subspace_is_refused(self):
+        W, V = skew_line_subspaces()
+        mu = DiscreteMeasure([[1.0, 0.0], [2.0, 0.0]], [0.4, 0.6])
+        with pytest.raises(RangeViolation,
+                           match="^h leaves the sampling subspace at atom 0$"):
+            pushforward_dual_map(mu, W, V, lambda x: np.array([1.0, 0.0]))
+
     @given(st.integers(0, 2_000))
     def test_every_pushforward_dual_verifies(self, seed):
         rng, W, V, mu = random_dual_instance(seed)
@@ -452,6 +460,11 @@ class TestPfDualPotential:
         mu, nu, _ = skew_line_measures()
         with pytest.raises(MarginalMismatch, match=f"{side} marginal"):
             pf_dual_potential(mu, nu, mode, MU_NU_MISMATCHED[side])
+
+    def test_an_unknown_mode_is_refused(self):
+        mu, nu, gamma = skew_line_measures()
+        with pytest.raises(ValueError, match="^unknown potential mode 'exact'$"):
+            pf_dual_potential(mu, nu, "exact", gamma)
 
     @pytest.mark.parametrize("mode", ["pushforward", "general"])
     def test_the_span_drops_what_the_frame_test_drops(self, mode, tmp_path):

@@ -381,6 +381,9 @@ MALFORMED_INPUTS = {
     "huge_pair_weight": (["pf-check", "skew_line_mu.json", "skew_line_nu.json",
                           "BAD"], {"pairs": [[[1, 0], [1, 0], HUGE]]},
                          "pairs[0].weight"),
+    "empty_points": (["w2", "BAD", "skew_line_nu.json"],
+                     {"ambient_dim": 2, "points": [], "weights": []}, "points"),
+    "empty_pairs": (["glue", "BAD", "BAD"], {"pairs": []}, "pairs"),
 }
 
 
@@ -414,6 +417,13 @@ class TestCli:
         assert rep["value"] == pytest.approx(2.0, abs=1e-12)
         assert rep["lower_bound"] == pytest.approx(2.0)
         assert rep["saturated"] is True
+
+    def test_an_odd_diagonal_potential_reports_no_bound(self, capsys):
+        assert run_cli("potential", fixture("mercedes_benz_pair.json"),
+                       "--diagonal", "--p", "3") == 0
+        rep = json.loads(capsys.readouterr().out)
+        assert (rep["lower_bound"], rep["gap"], rep["saturated"]) == \
+            (None, None, False)
 
     def test_w2_of_identical_measures(self, tmp_path):
         out = tmp_path / "r.json"
@@ -774,6 +784,7 @@ class TestMismatchedCouplings:
 
 L3 = {"ambient_dim": 3, "basis": [[1], [0], [0]]}
 M1 = {"ambient_dim": 1, "points": [[1]], "weights": [1]}
+P3 = {"ambient_dim": 2, "points": [[1, 0, 0]], "weights": [1]}
 
 
 class TestDimensionMismatch:
@@ -790,17 +801,82 @@ class TestDimensionMismatch:
         (["approx-check", "skew_line_mu.json", "skew_line_nu.json",
           "skew_line_product_coupling.json", "L3", "L3"],
          "mu, nu, W and V live in R^2, R^2, R^3, R^3"),
-    ], ids=["pf-classify", "interiority", "pf-potential", "approx-check"])
+        (["w2", "P3", "skew_line_nu.json"],
+         "points have length 3, ambient_dim is 2"),
+    ], ids=["pf-classify", "interiority", "pf-potential", "approx-check",
+            "points"])
     def test_exits_2_naming_both_dimensions(self, tmp_path, capsys, argv,
                                             message):
         paths = {"L3": write_json(tmp_path, "l3.json", L3),
-                 "M1": write_json(tmp_path, "m1.json", M1)}
+                 "M1": write_json(tmp_path, "m1.json", M1),
+                 "P3": write_json(tmp_path, "p3.json", P3)}
         args = [paths.get(a) or (fixture(a) if a.endswith(".json") else a)
                 for a in argv[1:]]
         assert run_cli(argv[0], *args) == 2
         out, err = capsys.readouterr()
         assert out == ""
         assert err == f"error: {message}\n"
+
+
+def unequal_pair():
+    """The Mercedes-Benz pair with its third analysis vector dropped."""
+    with open(fixture("mercedes_benz_pair.json")) as fh:
+        pair = json.load(fh)
+    del pair["analysis"]["vectors"][2]
+    return pair
+
+
+# Inputs that fail below the field checks of MALFORMED_INPUTS: (verb
+# arguments with "BAD" where the fixture goes, its content, the error line).
+TYPED_ERRORS = {
+    "not_an_object": (["w2", "BAD", "skew_line_nu.json"], [1, 2],
+                      "expected an object with a 'ambient_dim' field"),
+    "non_orthonormal_basis": (
+        ["pf-classify", "skew_line_mu.json", "BAD"],
+        {"ambient_dim": 2, "basis": [[1], [1]]},
+        "invalid subspace: basis columns are not orthonormal"),
+    "pair_lengths_differ": (["check-dual", "BAD"], unequal_pair(),
+                            "invalid dual pair: analysis and synthesis "
+                            "lengths differ"),
+    "pair_entry_not_a_triple": (
+        ["glue", "BAD", "skew_line_product_coupling.json"],
+        {"pairs": [[[1], [1]]]}, "pair 0 must be [x, y, weight]"),
+    "negative_coupling_weight": (
+        ["glue", "BAD", "skew_line_product_coupling.json"],
+        {"pairs": [[[1], [1], 1.5], [[2], [2], -0.5]]},
+        "invalid coupling: coupling weights must be nonnegative"),
+    "coupling_weights_sum": (
+        ["glue", "BAD", "skew_line_product_coupling.json"],
+        {"pairs": [[[1], [1], 0.5], [[2], [2], 0.25]]},
+        "invalid coupling: coupling weights sum to 0.75"),
+    "more_weights_than_points": (
+        ["w2", "BAD", "skew_line_nu.json"],
+        {"ambient_dim": 1, "points": [[1], [2]], "weights": [0.5, 0.25, 0.25]},
+        "invalid measure: 2 points but 3 weights"),
+    "w2_across_dimensions": (
+        ["w2", "skew_line_mu.json", "BAD"],
+        {"ambient_dim": 3, "points": [[1, 0, 0]], "weights": [1]},
+        "measures live in different ambient spaces"),
+    "coupling_in_another_dimension": (
+        ["pf-check", "skew_line_mu.json", "skew_line_nu.json", "BAD"],
+        {"pairs": [[[1, 0, 0], [0, 0, 0], 0.5], [[1, 0, 0], [2, 2, 0], 0.5]]},
+        "coupling's first marginal is not the given measure"),
+    "minimize_odd_order": (
+        ["minimize", "mercedes_benz_frame.json", "plane.json", "--p", "3"],
+        None, "minimization is defined for even potential orders"),
+}
+
+
+class TestTypedErrors:
+    @pytest.mark.parametrize("argv,content,message", TYPED_ERRORS.values(),
+                             ids=TYPED_ERRORS.keys())
+    def test_exits_2_with_the_one_error_line(self, tmp_path, capsys, argv,
+                                             content, message):
+        bad = write_json(tmp_path, "bad.json", content)
+        args = [bad if a == "BAD" else fixture(a) if a.endswith(".json")
+                else a for a in argv[1:]]
+        assert run_cli(argv[0], *args) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 SKEW = ("skew_line_mu.json", "skew_line_w.json", "skew_line_v.json")
@@ -1032,6 +1108,21 @@ class TestWorkDoneOnce:
                        fixture("skew_line_nu.json"), "--coupling",
                        fixture("skew_line_product_coupling.json")) == 0
         assert len(calls) == 2
+
+    def test_coherence_builds_the_mixed_gram_once(self, monkeypatch):
+        # The report carries the Gram and its signature, read from one build.
+        from obliqueframes import potentials
+
+        calls = []
+        entries = potentials.mixed_gram_entries
+
+        def counting(pair):
+            calls.append(pair)
+            return entries(pair)
+
+        monkeypatch.setattr(potentials, "mixed_gram_entries", counting)
+        assert run_cli("coherence", fixture("mercedes_benz_pair.json")) == 0
+        assert len(calls) == 1
 
     @pytest.mark.parametrize("argv", [["--help"], ["w2"], ["--tol", "0", "w2"],
                                       ["no-such-verb"]])

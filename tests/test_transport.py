@@ -331,6 +331,11 @@ class TestExactW2:
         with pytest.raises(ValueError, match=match):
             solve_transport(np.ones((2, 2)), supply, demand)
 
+    def test_unequal_totals_are_a_marginal_mismatch(self):
+        with pytest.raises(MarginalMismatch,
+                           match="^total supply and demand differ$"):
+            solve_transport(np.ones((2, 2)), [0.5, 0.5], [0.5, 0.25])
+
     def test_a_scalar_marginal_is_a_dimension_mismatch(self):
         # It raised an IndexError.
         with pytest.raises(DimensionMismatch, match="disagrees"):
